@@ -9,7 +9,6 @@ Haar-random pure states.
 
 from .linalg import (
     MAX_QUBITS,
-    QubitRegister,
     as_density_matrix,
     as_state_vector,
     hermitian_eigenvalues,
@@ -18,7 +17,6 @@ from .linalg import (
     reduced_state,
 )
 from .measures import (
-    Bipartition,
     binary_entropy,
     concurrence_pure,
     convex_roof_upper_bound,
@@ -38,9 +36,6 @@ from .monogamy import (
     PairwiseProfile,
     PartitionSpec,
     bound_coefficients,
-    eval_eof_bound,
-    eval_lower_bound,
-    eval_upper_bound,
     evaluate,
     profile,
     residual_sweep,
@@ -70,7 +65,6 @@ __all__ = [
     "ALPHA_MIN_CONCURRENCE",
     "ALPHA_MIN_EOF",
     "AlphaSweep",
-    "Bipartition",
     "BoundId",
     "BoundKind",
     "BoundReport",
@@ -79,7 +73,6 @@ __all__ = [
     "MAX_QUBITS",
     "PairwiseProfile",
     "PartitionSpec",
-    "QubitRegister",
     "SeededSampler",
     "alpha_grid",
     "as_density_matrix",
@@ -93,9 +86,6 @@ __all__ = [
     "eof_from_squared_concurrence",
     "eof_pure",
     "eof_two_qubit_mixed",
-    "eval_eof_bound",
-    "eval_lower_bound",
-    "eval_upper_bound",
     "evaluate",
     "generalized_schmidt",
     "ghz_state",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_density_matrix, as_state_vector, num_qubits_of, partial_trace
+from .linalg import MAX_QUBITS, as_density_matrix, as_state_vector, num_qubits_of, partial_trace
 from .measures import eof_from_squared_concurrence, wootters_concurrence
 from .monogamy import (
     ALPHA_MIN_EOF,
@@ -47,6 +47,7 @@ from .states import SeededSampler, generalized_schmidt, haar_random_pure, w_stat
 STATE_FORMAT_VERSION = "1"
 REPORT_FORMAT_VERSION = "1"
 DEFAULT_TOLERANCE = 1e-10
+MAX_GRID_POINTS = 10_000
 
 _SCHMIDT_FLAT = (math.sqrt(5.0) / 5.0,) * 5
 
@@ -62,11 +63,16 @@ _EXAMPLE_SETUPS = {
 
 def alpha_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive grid lo, lo+step, ... up to hi (within float tolerance)."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("alpha grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("alpha step must be positive")
     if hi < lo:
         raise ValueError("alpha range is empty")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
+        raise ValueError(f"alpha grid would exceed {MAX_GRID_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(lo + k * step for k in range(count))
 
 
@@ -89,20 +95,24 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a finite number")
+
+
 def load_state_file(path: str) -> LoadedState:
-    """Read and validate a JSON state file."""
+    """Read and validate a JSON state file; NaN and Infinity tokens are rejected."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:  # JSONDecodeError is a ValueError too
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: state file must be a JSON object")
     if data.get("format_version") != STATE_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {data.get('format_version')!r}")
     n = data.get("num_qubits")
-    if not isinstance(n, int):
-        raise ValueError(f"{path}: num_qubits must be an integer")
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"{path}: num_qubits must be an integer 1..{MAX_QUBITS}")
     has_amp = "amplitudes" in data
     has_rho = "density_matrix" in data
     if has_amp == has_rho:
@@ -138,7 +148,7 @@ def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
             "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
         }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -156,12 +166,12 @@ class CampaignConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         for n in self.qubit_counts:
-            if not 3 <= n <= 12:
-                raise ValueError("qubit counts must be 3..12")
+            if not 3 <= n <= MAX_QUBITS:
+                raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")
         if not self.kinds:
             raise ValueError("no bounds selected")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be positive and finite")
         for kind in self.kinds:
             if not any(_kind_fits(kind, n) for n in self.qubit_counts):
                 raise ValueError(f"{kind.id.value} fits none of the requested qubit counts")
@@ -225,7 +235,7 @@ class CampaignResult:
             "stats": self.stats,
             "all_passed": self.all_passed,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
@@ -446,10 +456,7 @@ def _as_pure(loaded: LoadedState) -> np.ndarray | None:
 
 def cmd_measure(args) -> int:
     loaded = load_state_file(args.state)
-    if loaded.num_qubits < 3:
-        raise ValueError("measure needs at least three qubits")
     part = _partition_from_args(args, loaded.num_qubits)
-    part.validate(loaded.num_qubits)
     pure = _as_pure(loaded)
     note = ""
     if pure is not None:
@@ -463,6 +470,7 @@ def cmd_measure(args) -> int:
         if any(t is None for t in prof.c_tail):
             note = "tail concurrences of mixed reductions have no closed form"
     else:
+        part.validate(loaded.num_qubits)  # profile does this on the pure path
         rho = loaded.density_matrix
         pairs = [
             wootters_concurrence(partial_trace(rho, (part.focus, b)))
@@ -475,7 +483,7 @@ def cmd_measure(args) -> int:
         }
         eof = {
             "focus_rest": None,
-            "pairs": [eof_from_squared_concurrence(c * c) for c in pairs],
+            "pairs": eof_from_squared_concurrence(np.square(pairs)).tolist(),
         }
         note = "mixed input: only pairwise closed forms are available"
     payload = {
@@ -487,7 +495,7 @@ def cmd_measure(args) -> int:
         "eof": eof,
         "note": note,
     }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
@@ -497,7 +505,6 @@ def cmd_sweep(args) -> int:
     if pure is None:
         raise ValueError("sweep needs a pure state (amplitudes or a rank-one density matrix)")
     part = _partition_from_args(args, loaded.num_qubits)
-    part.validate(loaded.num_qubits)
     grid = _grid_from_args(args, None)
     prof = profile(pure, part)
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)

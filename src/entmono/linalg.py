@@ -9,9 +9,10 @@ Conventions used throughout the package:
     are (2**n, 2**n) complex arrays.
   - Every function is pure and never mutates its arguments, so all of
     them are safe to call from concurrent workers.
+  - Public functions validate their input once; the underscore kernels
+    behind them trust their arguments and are called directly by code
+    that has already validated.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,102 +34,82 @@ def num_qubits_of(dim: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class QubitRegister:
-    """An ordered register of qubits with optional party labels."""
-
-    num_qubits: int
-    party_labels: tuple = field(default=())
-
-    def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"register size must be 1..{MAX_QUBITS}")
-        labels = self.party_labels or tuple(range(self.num_qubits))
-        if len(labels) != self.num_qubits or len(set(labels)) != len(labels):
-            raise ValueError("party_labels must be distinct, one per qubit")
-        object.__setattr__(self, "party_labels", tuple(labels))
-
-    def position(self, label) -> int:
-        try:
-            return self.party_labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown party label {label!r}") from None
-
-    def positions(self, labels) -> tuple:
-        return tuple(self.position(lab) for lab in labels)
-
-
-def as_state_vector(psi, atol: float = NORM_ATOL) -> np.ndarray:
-    """Coerce and validate a normalized pure-state vector."""
+def as_state_vector(psi) -> np.ndarray:
+    """Coerce and validate a finite, normalized pure-state vector."""
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
     num_qubits_of(vec.shape[0])
+    if not np.isfinite(vec).all():
+        raise ValueError("state vector has non-finite amplitudes")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {atol}")
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_ATOL}")
     return vec
 
 
-def is_hermitian(matrix: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(matrix: np.ndarray) -> bool:
     m = np.asarray(matrix)
     scale = np.abs(m).max()
     if scale == 0.0:
         return True
-    return np.abs(m - m.conj().T).max() <= rtol * scale
+    return np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * scale
 
 
-def as_density_matrix(rho, check_psd: bool = True) -> np.ndarray:
-    """Coerce and validate a density matrix (Hermitian, unit trace, PSD)."""
-    m = np.asarray(rho, dtype=complex)
+def _as_hermitian(matrix) -> np.ndarray:
+    m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("density matrix must be square")
-    num_qubits_of(m.shape[0])
+        raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     if not is_hermitian(m):
-        raise ValueError("density matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return m
+
+
+def as_density_matrix(rho) -> np.ndarray:
+    """Coerce and validate a density matrix (Hermitian, unit trace, PSD)."""
+    m = _as_hermitian(rho)
+    num_qubits_of(m.shape[0])
     tr = np.trace(m).real
     if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-    if check_psd and np.linalg.eigvalsh(m)[0] < -PSD_ATOL:
+    if np.linalg.eigvalsh(m)[0] < -PSD_ATOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return m
 
 
-def hermitian_eigenvalues(matrix, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted in descending order."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not is_hermitian(m, rtol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(_as_hermitian(matrix))[::-1]
 
 
-def _validated_positions(positions, num_qubits: int) -> tuple:
-    pos = tuple(int(p) for p in positions)
-    if len(set(pos)) != len(pos):
+def _kept_positions(keep, num_qubits: int) -> tuple:
+    """Sorted keep set, checked to be a nonempty proper subset of the register."""
+    kept = tuple(sorted(int(p) for p in keep))
+    if len(set(kept)) != len(kept):
         raise ValueError("qubit positions must be distinct")
-    for p in pos:
+    for p in kept:
         if not 0 <= p < num_qubits:
             raise ValueError(f"qubit position {p} out of range for {num_qubits} qubits")
-    return tuple(sorted(pos))
+    if not kept:
+        raise ValueError("keep set must not be empty")
+    if len(kept) == num_qubits:
+        raise ValueError("keep set must be a proper subset of the register")
+    return kept
 
 
-def partial_trace(rho, keep, num_qubits: int | None = None) -> np.ndarray:
+def partial_trace(rho, keep) -> np.ndarray:
     """Trace out every qubit not in ``keep``.
 
     Kept qubits retain their original relative (MSB-first) order. ``keep``
     must be a nonempty proper subset of the register.
     """
     m = np.asarray(rho, dtype=complex)
-    n = num_qubits if num_qubits is not None else num_qubits_of(m.shape[0])
+    n = num_qubits_of(m.shape[0])
     if m.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} qubits")
-    kept = _validated_positions(keep, n)
-    if not kept:
-        raise ValueError("keep set must not be empty")
-    if len(kept) == n:
-        raise ValueError("keep set must be a proper subset of the register")
+    kept = _kept_positions(keep, n)
     traced = [q for q in range(n) if q not in kept]
     tensor = m.reshape([2] * (2 * n))
     # reverse order keeps the remaining axis indices valid after each trace
@@ -146,11 +127,11 @@ def reduced_state(psi, keep) -> np.ndarray:
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
-    kept = _validated_positions(keep, n)
-    if not kept:
-        raise ValueError("keep set must not be empty")
-    if len(kept) == n:
-        raise ValueError("keep set must be a proper subset of the register")
+    return _reduce(vec, _kept_positions(keep, n), n)
+
+
+def _reduce(vec: np.ndarray, kept: tuple, n: int) -> np.ndarray:
+    """reduced_state on a trusted n-qubit vector and a sorted, valid keep set."""
     traced = [q for q in range(n) if q not in kept]
     block = vec.reshape([2] * n).transpose(list(kept) + traced).reshape(2 ** len(kept), -1)
     return block @ block.conj().T

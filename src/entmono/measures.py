@@ -15,21 +15,10 @@ independent oracle against the closed forms. It only ever overestimates
 the convex roof, so oracle >= closed form up to roundoff.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import xlogy
 
-from .linalg import (
-    PSD_ATOL,
-    TRACE_ATOL,
-    as_density_matrix,
-    as_state_vector,
-    hermitian_eigenvalues,
-    is_hermitian,
-    num_qubits_of,
-    reduced_state,
-)
+from .linalg import _as_hermitian, as_density_matrix, reduced_state
 
 DOMAIN_ATOL = 1e-10
 
@@ -37,49 +26,22 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y).real  # real symmetric, squares to identity
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-sided split of a qubit register into disjoint position sets."""
-
-    side_a: tuple
-    side_b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "side_a", tuple(int(q) for q in self.side_a))
-        object.__setattr__(self, "side_b", tuple(int(q) for q in self.side_b))
-
-    @classmethod
-    def of(cls, side_a, num_qubits: int) -> "Bipartition":
-        """Build a cut from one side; the other side is the complement."""
-        first = tuple(sorted(int(q) for q in side_a))
-        rest = tuple(q for q in range(num_qubits) if q not in first)
-        return cls(first, rest)
-
-    def validate(self, num_qubits: int) -> None:
-        seen = self.side_a + self.side_b
-        if not self.side_a or not self.side_b:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if sorted(seen) != list(range(num_qubits)):
-            raise ValueError("bipartition sides must disjointly cover the register")
+def _unit_interval(x, what: str) -> np.ndarray:
+    """``x`` as floats clipped to [0, 1]; NaN or values beyond DOMAIN_ATOL raise."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= -DOMAIN_ATOL) & (arr <= 1.0 + DOMAIN_ATOL)):
+        raise ValueError(f"{what} outside [0, 1] beyond tolerance")
+    return np.clip(arr, 0.0, 1.0)
 
 
-def _side_a_of(cut, num_qubits: int) -> tuple:
-    if isinstance(cut, Bipartition):
-        cut.validate(num_qubits)
-        return cut.side_a
-    part = Bipartition.of(cut, num_qubits)
-    part.validate(num_qubits)
-    return part.side_a
+def _binary_entropy(p):
+    h = -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0)
+    return h + 0.0  # flush -0.0 at the endpoints
 
 
 def binary_entropy(p):
     """Shannon entropy of (p, 1-p) in bits. Accepts scalars or arrays."""
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr < -DOMAIN_ATOL) or np.any(arr > 1.0 + DOMAIN_ATOL):
-        raise ValueError("probability outside [0, 1] beyond tolerance")
-    arr = np.clip(arr, 0.0, 1.0)
-    h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / np.log(2.0)
-    h = h + 0.0  # flush -0.0 at the endpoints
+    h = _binary_entropy(_unit_interval(p, "probability"))
     return float(h) if np.ndim(p) == 0 else h
 
 
@@ -89,58 +51,63 @@ def eof_from_squared_concurrence(x):
     Computes h((1 + sqrt(1 - x)) / 2), the exact relation for two-qubit
     mixed states and 2 x d pure cuts. Accepts scalars or arrays in [0, 1].
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < -DOMAIN_ATOL) or np.any(arr > 1.0 + DOMAIN_ATOL):
-        raise ValueError("squared concurrence outside [0, 1] beyond tolerance")
-    arr = np.clip(arr, 0.0, 1.0)
-    p = (1.0 + np.sqrt(1.0 - arr)) / 2.0
-    return binary_entropy(float(p)) if np.ndim(x) == 0 else binary_entropy(p)
+    arr = _unit_interval(x, "squared concurrence")
+    h = _binary_entropy((1.0 + np.sqrt(1.0 - arr)) / 2.0)
+    return float(h) if np.ndim(x) == 0 else h
+
+
+def _entropy(rho) -> float:
+    """Von Neumann entropy in bits of a trusted Hermitian matrix."""
+    lam = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, 1.0)
+    return float(-(xlogy(lam, lam)).sum() / np.log(2.0) + 0.0)
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits, with eigenvalues clamped to [0, 1]."""
-    lam = np.clip(hermitian_eigenvalues(rho), 0.0, 1.0)
-    return float(-(xlogy(lam, lam)).sum() / np.log(2.0) + 0.0)
+    return _entropy(_as_hermitian(rho))
+
+
+def _purity_concurrence(rho_a) -> float:
+    """sqrt(2 * (1 - Tr rho_A^2)) for a trusted reduced state rho_A."""
+    purity = min(1.0, np.trace(rho_a @ rho_a).real)
+    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
 
 
 def concurrence_pure(psi, cut) -> float:
     """Concurrence of a pure state across a bipartition.
 
-    ``cut`` is a Bipartition or just the side-A position tuple. The value
-    is sqrt(2 * (1 - Tr rho_A^2)) and exceeds 1 only on cuts whose smaller
-    side has more than one qubit.
+    ``cut`` is the side-A position tuple; side B is its complement. The
+    value is sqrt(2 * (1 - Tr rho_A^2)) and exceeds 1 only on cuts whose
+    smaller side has more than one qubit.
     """
-    vec = as_state_vector(psi)
-    side_a = _side_a_of(cut, num_qubits_of(vec.shape[0]))
-    rho_a = reduced_state(vec, side_a)
-    purity = min(1.0, np.trace(rho_a @ rho_a).real)
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+    return _purity_concurrence(reduced_state(psi, cut))
 
 
 def eof_pure(psi, cut) -> float:
     """Entanglement of formation of a pure state across a bipartition, in bits."""
-    vec = as_state_vector(psi)
-    side_a = _side_a_of(cut, num_qubits_of(vec.shape[0]))
-    return von_neumann_entropy(reduced_state(vec, side_a))
+    return _entropy(reduced_state(psi, cut))
 
 
-def wootters_concurrence(rho) -> float:
-    """Closed-form concurrence of a two-qubit density matrix."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError("wootters_concurrence requires a 4x4 density matrix")
-    if not is_hermitian(m):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(m).real - 1.0) > TRACE_ATOL:
-        raise ValueError("density matrix trace deviates from 1 beyond tolerance")
-    lam, vec = np.linalg.eigh(m)
-    if lam[0] < -PSD_ATOL:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+def _wootters(rho) -> float:
+    """Wootters concurrence of a trusted two-qubit density matrix."""
+    lam, vec = np.linalg.eigh(rho)
     cols = vec * np.sqrt(np.clip(lam, 0.0, None))
     # singular values of this symmetric matrix equal the sqrt-eigenvalues of
     # rho (sy x sy) rho* (sy x sy); the svd route keeps them real and sorted
     mu = np.linalg.svd(cols.T @ _SPIN_FLIP @ cols, compute_uv=False)
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+
+
+def _two_qubit_density(rho, caller: str) -> np.ndarray:
+    m = as_density_matrix(rho)
+    if m.shape != (4, 4):
+        raise ValueError(f"{caller} requires a 4x4 density matrix")
+    return m
+
+
+def wootters_concurrence(rho) -> float:
+    """Closed-form concurrence of a two-qubit density matrix."""
+    return _wootters(_two_qubit_density(rho, "wootters_concurrence"))
 
 
 def eof_two_qubit_mixed(rho) -> float:
@@ -178,9 +145,7 @@ def convex_roof_upper_bound(rho, measure: str = "concurrence",
         raise ValueError(f"unknown measure {measure!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m = as_density_matrix(rho)
-    if m.shape != (4, 4):
-        raise ValueError("convex_roof_upper_bound requires a 4x4 density matrix")
+    m = _two_qubit_density(rho, "convex_roof_upper_bound")
     lam, vec = np.linalg.eigh(m)
     lam = np.clip(lam, 0.0, None)
     rank = max(1, int((lam > 1e-12).sum()))

@@ -37,18 +37,13 @@ mixed reduction with two or more remaining parties), True otherwise.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import as_state_vector, num_qubits_of, reduced_state
-from .measures import (
-    concurrence_pure,
-    eof_from_squared_concurrence,
-    eof_pure,
-    wootters_concurrence,
-)
+from .linalg import _reduce, as_state_vector, num_qubits_of
+from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 COMPARISON_ATOL = 1e-12
 DROP_ATOL = 1e-12
@@ -94,6 +89,8 @@ class BoundKind:
     def __post_init__(self):
         object.__setattr__(self, "id", BoundId(self.id))
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.id == BoundId.CKW and abs(self.alpha - 2.0) > 1e-12:
             raise ValueError("ckw is the squared bound; alpha must be 2")
         if self.id in CONCURRENCE_LOWER and self.alpha < ALPHA_MIN_CONCURRENCE - 1e-12:
@@ -187,7 +184,11 @@ class BoundReport:
 
 
 def profile(psi, partition: PartitionSpec | None = None) -> PairwiseProfile:
-    """Measure everything the bound evaluators need from a pure state."""
+    """Measure everything the bound evaluators need from a pure state.
+
+    The state and the partition are validated here, once; the measures are
+    then taken with the trusted kernels behind the public measure functions.
+    """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
     if n < 3:
@@ -196,15 +197,13 @@ def profile(psi, partition: PartitionSpec | None = None) -> PairwiseProfile:
     part.validate(n)
 
     focus = part.focus
-    c_fr = concurrence_pure(vec, (focus,))
-    e_fr = eof_pure(vec, (focus,))
-    c_pair = []
-    for b in part.rest:
-        c_pair.append(wootters_concurrence(reduced_state(vec, (focus, b))))
-    e_pair = tuple(eof_from_squared_concurrence(c * c) for c in c_pair)
+    rho_a = _reduce(vec, (focus,), n)
+    c_pair = tuple(_wootters(_reduce(vec, tuple(sorted((focus, b))), n)) for b in part.rest)
+    e_pair = tuple(eof_from_squared_concurrence(np.square(c_pair)).tolist())
     # only the last tail (one remaining party) is a two-qubit reduction
     c_tail = tuple([None] * (n - 3) + [c_pair[-1]])
-    return PairwiseProfile(n, c_fr, tuple(c_pair), c_tail, e_fr, e_pair)
+    return PairwiseProfile(n, _purity_concurrence(rho_a), c_pair, c_tail,
+                           _entropy(rho_a), e_pair)
 
 
 def bound_coefficients(kind_id, alpha: float, num_parties: int,
@@ -340,27 +339,6 @@ def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
     strict = not dropped and min(prof.c_pair) > STRICT_PAIR_FLOOR
     return BoundReport(kind, "upper", lhs, rhs, rhs - lhs, True,
                        dropped_pairs=dropped, strict=strict)
-
-
-def eval_lower_bound(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
-    """Concurrence lower bounds (ckw, alpha-power, tight-*)."""
-    if kind.id not in CONCURRENCE_LOWER:
-        raise ValueError(f"{kind.id.value} is not a concurrence lower bound")
-    return evaluate(prof, kind)
-
-
-def eval_eof_bound(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
-    """Entanglement-of-formation lower bounds (eof-*)."""
-    if kind.id not in EOF_LOWER:
-        raise ValueError(f"{kind.id.value} is not an EoF bound")
-    return evaluate(prof, kind)
-
-
-def eval_upper_bound(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
-    """Negative-power upper bounds (upper-mean, upper-sum)."""
-    if kind.id not in NEGATIVE_UPPER:
-        raise ValueError(f"{kind.id.value} is not a negative-power upper bound")
-    return evaluate(prof, kind)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,15 @@ from .linalg import MAX_QUBITS, NORM_ATOL, reduced_state
 
 @dataclass(frozen=True)
 class SeededSampler:
-    """Reproducible random source: same seed and algorithm, same stream.
+    """Reproducible PCG64 random source: same seed and key, same stream.
 
     ``child`` derives an independent sampler for a subtask (for example one
     sample index of a campaign) without consuming randomness from the
-    parent. Only the "pcg64" algorithm is implemented.
+    parent.
     """
 
     seed: int
-    algorithm_id: str = "pcg64"
     spawn_key: tuple = ()
-
-    def __post_init__(self):
-        if self.algorithm_id != "pcg64":
-            raise ValueError(f"unknown rng algorithm {self.algorithm_id!r}")
 
     def child(self, *key: int) -> "SeededSampler":
         return replace(self, spawn_key=self.spawn_key + tuple(int(k) for k in key))

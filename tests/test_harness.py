@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ def test_alpha_grid():
         alpha_grid(2.0, 5.0, 0.0)
     with pytest.raises(ValueError):
         alpha_grid(5.0, 2.0, 0.1)
+    for lo, hi, step in ((math.nan, 3.0, 0.5), (2.0, math.inf, 0.5), (2.0, 3.0, math.nan),
+                         (2.0, 3.0, 1e-300), (-1e308, 1e308, 1.0)):
+        with pytest.raises(ValueError):
+            alpha_grid(lo, hi, step)
 
 
 def test_state_file_round_trip_amplitudes(tmp_path):
@@ -98,7 +103,10 @@ def test_campaign_config_validation():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(5, (3,), (), 0))
     with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(5, (3,), (kind,), 0, tolerance=0.0))
+        run_campaign(CampaignConfig(5, (13,), (kind,), 0))
+    for tolerance in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            run_campaign(CampaignConfig(5, (3,), (kind,), 0, tolerance=tolerance))
     split = BoundKind(BoundId.TIGHT_SPLIT, 2.0)
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(5, (3,), (split,), 0))
@@ -290,6 +298,40 @@ def test_cli_sweep(tmp_path):
                  "--alpha-min", "2", "--alpha-max", "2", "--alpha-step", "1"]) == 2
     assert main(["sweep", "--state", str(state), "--bound", "ckw",
                  "--baseline", "ckw"]) == 2  # grid flags are required here
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "5", "--tolerance", "nan"],
+    ["verify", "--samples", "5", "--tolerance", "inf"],
+    ["verify", "--samples", "5", "--bound", "alpha-power", "--alpha-min", "2",
+     "--alpha-max", "inf", "--alpha-step", "0.5"],
+    ["verify", "--samples", "5", "--bound", "alpha-power", "--alpha-min", "nan",
+     "--alpha-max", "3", "--alpha-step", "0.5"],
+    ["verify", "--samples", "5", "--bound", "alpha-power", "--alpha-min", "2",
+     "--alpha-max", "3", "--alpha-step", "1e-300"],
+    ["example", "--id", "1", "--alpha-min", "2", "--alpha-max", "3", "--alpha-step", "1e-300"],
+    ["example", "--id", "2", "--alpha-min=-inf", "--alpha-max=-1", "--alpha-step", "0.5"],
+])
+def test_cli_non_finite_campaign_input_exits_2(argv, capsys):
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 5.0  # the tiny step is refused, not built
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("amplitude", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_cli_rejects_non_finite_state_file(tmp_path, amplitude, capsys):
+    state = tmp_path / "bad.json"
+    state.write_text('{"format_version": "1", "num_qubits": 3, "amplitudes": [[%s, 0.0]%s]}'
+                     % (amplitude, ", [0.0, 0.0]" * 7))
+    with pytest.raises(ValueError):
+        load_state_file(str(state))
+    assert main(["measure", "--state", str(state)]) == 2
+    assert main(["sweep", "--state", str(state), "--bound", "ckw", "--baseline", "ckw",
+                 "--alpha-min", "2", "--alpha-max", "2", "--alpha-step", "1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_usage_errors():

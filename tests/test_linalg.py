@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono.linalg import (
-    QubitRegister,
     as_density_matrix,
     as_state_vector,
     hermitian_eigenvalues,
@@ -43,20 +42,6 @@ def test_num_qubits_of():
         num_qubits_of(2 ** 13)
 
 
-def test_qubit_register_labels():
-    reg = QubitRegister(3)
-    assert reg.position(1) == 1
-    reg = QubitRegister(3, party_labels=("A", "B", "C"))
-    assert reg.position("B") == 1
-    assert reg.positions(("C", "A")) == (2, 0)
-    with pytest.raises(ValueError):
-        reg.position("D")
-    with pytest.raises(ValueError):
-        QubitRegister(2, party_labels=("A", "A"))
-    with pytest.raises(ValueError):
-        QubitRegister(2, party_labels=("A",))
-
-
 def test_as_state_vector_checks():
     vec = as_state_vector([1.0, 0.0])
     assert vec.dtype == np.complex128
@@ -66,6 +51,9 @@ def test_as_state_vector_checks():
         as_state_vector([1.0, 0.0, 0.0])  # not a power-of-two length
     with pytest.raises(ValueError):
         as_state_vector(np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_state_vector([bad, 0.0])
 
 
 def test_is_hermitian():
@@ -81,10 +69,10 @@ def test_as_density_matrix_validation():
         as_density_matrix(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         as_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    neg = np.diag([1.1, -0.1])
     with pytest.raises(ValueError):
-        as_density_matrix(neg)
-    as_density_matrix(neg, check_psd=False)  # caller opts out
+        as_density_matrix(np.diag([1.1, -0.1]))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_density_matrix(np.diag([np.nan, 1.0]))
 
 
 def test_hermitian_eigenvalues_descending():

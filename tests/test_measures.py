@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from entmono.linalg import reduced_state
 from entmono.measures import (
-    Bipartition,
     binary_entropy,
     concurrence_pure,
     convex_roof_upper_bound,
@@ -62,6 +61,8 @@ def test_binary_entropy_arrays_and_domain():
         binary_entropy(-1e-3)
     with pytest.raises(ValueError):
         binary_entropy(1.001)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.5, np.nan]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,10 +109,12 @@ def test_concurrence_pure_known_states():
 
 
 def test_concurrence_pure_accepts_bipartition():
-    cut = Bipartition.of((0,), 3)
-    assert abs(concurrence_pure(ghz_state(3), cut) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        concurrence_pure(ghz_state(3), Bipartition((0,), (1,)))  # does not cover qubit 2
+    # a cut is its side-A position tuple; side B is the complement
+    assert abs(concurrence_pure(ghz_state(3), (0,)) - 1.0) < 1e-12
+    assert concurrence_pure(ghz_state(3), (2, 0)) == concurrence_pure(ghz_state(3), (0, 2))
+    for cut in ((), (3,), (0, 0), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            concurrence_pure(ghz_state(3), cut)
 
 
 def test_concurrence_pure_two_qubit_determinant_identity():

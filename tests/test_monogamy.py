@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from entmono.harness import CampaignConfig, campaign_state, run_campaign
+from entmono.linalg import reduced_state
+from entmono.measures import (
+    concurrence_pure,
+    eof_from_squared_concurrence,
+    eof_pure,
+    wootters_concurrence,
+)
 from entmono.monogamy import (
     ALPHA_MIN_EOF,
     BoundId,
     BoundKind,
     PartitionSpec,
     bound_coefficients,
-    eval_eof_bound,
-    eval_lower_bound,
-    eval_upper_bound,
     evaluate,
     profile,
     residual_sweep,
@@ -42,6 +46,11 @@ def test_bound_kind_validation():
         BoundKind(BoundId.ALPHA_POWER, 2.0, m=1)
     with pytest.raises(ValueError):
         BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BoundKind(BoundId.ALPHA_POWER, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            BoundKind(BoundId.UPPER_MEAN, alpha)
     assert BoundKind("tight-split", 2.0, m=2).id is BoundId.TIGHT_SPLIT
     assert BoundKind(BoundId.EOF_TIGHT_ORDERED, ALPHA_MIN_EOF).alpha == ALPHA_MIN_EOF
 
@@ -72,6 +81,35 @@ def test_profile_tail_availability():
     assert prof.c_tail[2] == prof.c_pair[-1]
     with pytest.raises(ValueError):
         profile(basis_state(2, 0))
+
+
+@pytest.mark.parametrize("n, partition", [
+    (3, None), (4, None), (5, None), (8, None), (5, PartitionSpec(3, (1, 4, 0, 2))),
+])
+def test_profile_matches_public_measures(n, partition):
+    # profile calls the trusted kernels directly; it must agree exactly with
+    # the validated public functions built on the same kernels
+    for i in range(6):
+        psi = campaign_state(21, n, i)
+        prof = profile(psi, partition)
+        part = partition or PartitionSpec.default(n)
+        assert prof.c_focus_rest == concurrence_pure(psi, (part.focus,))
+        assert prof.e_focus_rest == eof_pure(psi, (part.focus,))
+        pairs = tuple(wootters_concurrence(reduced_state(psi, (part.focus, b)))
+                      for b in part.rest)
+        assert prof.c_pair == pairs
+        assert prof.e_pair == tuple(eof_from_squared_concurrence(c * c) for c in pairs)
+        assert prof.c_tail == (None,) * (n - 3) + (pairs[-1],)
+
+
+def test_profile_validates_only_at_the_boundary():
+    with pytest.raises(ValueError, match="non-finite"):
+        profile(np.full(8, np.nan))
+    # a norm inside the state-vector tolerance is accepted; no inner check
+    # may apply that tolerance again to the squared norm
+    psi = w_state(3) * (1.0 + 0.9e-10)
+    prof = profile(psi)
+    assert abs(prof.c_pair[0] - 2.0 / 3.0) < 1e-9
 
 
 def test_profile_respects_partition_order():
@@ -130,7 +168,7 @@ def test_tight_coefficients_dominate_unit_baseline():
 
 def test_tripartite_lemma_on_flat_state():
     prof = profile(generalized_schmidt(FLAT))
-    rep = eval_lower_bound(prof, BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0))
+    rep = evaluate(prof, BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0))
     assert rep.direction == "lower"
     assert rep.applicable is True
     assert abs(rep.lhs - 12 / 25) < 1e-12
@@ -152,19 +190,18 @@ def test_flat_state_closed_forms_across_alpha():
 
 def test_upper_bounds_on_flat_state():
     prof = profile(generalized_schmidt(FLAT))
-    rep = eval_upper_bound(prof, BoundKind(BoundId.UPPER_MEAN, -1.0))
+    rep = evaluate(prof, BoundKind(BoundId.UPPER_MEAN, -1.0))
     assert rep.direction == "upper"
     assert rep.strict is True and rep.applicable is True
     assert abs(rep.lhs - 5 / (2 * math.sqrt(3))) < 1e-10
     assert abs(rep.rhs - 2.5) < 1e-10
     assert abs(rep.slack - (2.5 - 5 / (2 * math.sqrt(3)))) < 1e-10
-    loose = eval_upper_bound(prof, BoundKind(BoundId.UPPER_SUM, -1.0))
+    loose = evaluate(prof, BoundKind(BoundId.UPPER_SUM, -1.0))
     assert abs(loose.rhs - 5.0) < 1e-10  # two retained terms, no averaging
 
 
 def test_upper_bound_drops_zero_pairs():
-    rep = eval_upper_bound(profile(_bell_with_spectator()),
-                           BoundKind(BoundId.UPPER_MEAN, -1.0))
+    rep = evaluate(profile(_bell_with_spectator()), BoundKind(BoundId.UPPER_MEAN, -1.0))
     assert rep.applicable is True
     assert rep.dropped_pairs == (1,)
     assert rep.strict is False
@@ -174,17 +211,17 @@ def test_upper_bound_drops_zero_pairs():
 
 
 def test_upper_bound_degenerate_profiles():
-    ghz = eval_upper_bound(profile(ghz_state(3)), BoundKind(BoundId.UPPER_MEAN, -2.0))
+    ghz = evaluate(profile(ghz_state(3)), BoundKind(BoundId.UPPER_MEAN, -2.0))
     assert ghz.applicable is False
     assert math.isnan(ghz.slack)
     assert "zero" in ghz.note
-    product = eval_upper_bound(profile(basis_state(3, 0)), BoundKind(BoundId.UPPER_SUM, -1.0))
+    product = evaluate(profile(basis_state(3, 0)), BoundKind(BoundId.UPPER_SUM, -1.0))
     assert product.applicable is False
 
 
 def test_lower_bounds_on_ghz():
     prof = profile(ghz_state(3))
-    rep = eval_lower_bound(prof, BoundKind(BoundId.CKW, 2.0))
+    rep = evaluate(prof, BoundKind(BoundId.CKW, 2.0))
     assert rep.applicable is True
     assert abs(rep.lhs - 1.0) < 1e-12
     assert abs(rep.rhs) < 1e-12
@@ -220,16 +257,6 @@ def test_split_kind_auto_index():
         assert pinned.m_used == 1
     with pytest.raises(ValueError):
         evaluate(profile(campaign_state(3, 4, 0)), BoundKind(BoundId.TIGHT_SPLIT, 2.5, m=2))
-
-
-def test_eval_wrappers_reject_wrong_family():
-    prof = profile(w_state(3))
-    with pytest.raises(ValueError):
-        eval_lower_bound(prof, BoundKind(BoundId.UPPER_MEAN, -1.0))
-    with pytest.raises(ValueError):
-        eval_eof_bound(prof, BoundKind(BoundId.CKW, 2.0))
-    with pytest.raises(ValueError):
-        eval_upper_bound(prof, BoundKind(BoundId.ALPHA_POWER, 2.0))
 
 
 def test_eof_bounds_on_w_state():

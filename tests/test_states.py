@@ -94,8 +94,6 @@ def test_seeded_sampler_reproducibility():
     child = SeededSampler(42).child(3, 0).rng().standard_normal(8)
     assert not np.allclose(a, child)
     assert SeededSampler(42).child(3).child(0).spawn_key == (3, 0)
-    with pytest.raises(ValueError):
-        SeededSampler(42, algorithm_id="mt19937")
 
 
 def test_haar_random_pure_basics():
