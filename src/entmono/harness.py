@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,15 +30,12 @@ from .linalg import MAX_QUBITS, as_density_matrix, as_state_vector, num_qubits_o
 from .measures import eof_from_squared_concurrence, wootters_concurrence
 from .monogamy import (
     ALPHA_MIN_EOF,
-    CONCURRENCE_LOWER,
-    EOF_LOWER,
-    NEGATIVE_UPPER,
-    SPLIT_KINDS,
     STRICT_SLACK_FLOOR,
     BoundId,
     BoundKind,
     PartitionSpec,
     evaluate,
+    family_kinds,
     profile,
     residual_sweep,
 )
@@ -168,13 +165,18 @@ class CampaignConfig:
         for n in self.qubit_counts:
             if not 3 <= n <= MAX_QUBITS:
                 raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")
+        if len(set(self.qubit_counts)) < len(self.qubit_counts):
+            raise ValueError("qubit counts must not repeat")
         if not self.kinds:
             raise ValueError("no bounds selected")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError("bound kinds must not repeat")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError("tolerance must be positive and finite")
         for kind in self.kinds:
-            if not any(_kind_fits(kind, n) for n in self.qubit_counts):
-                raise ValueError(f"{kind.id.value} fits none of the requested qubit counts")
+            if not any(kind.fits(n) for n in self.qubit_counts):
+                pinned = "" if kind.m is None else f" with m = {kind.m}"
+                raise ValueError(f"{kind.id.value}{pinned} fits none of the requested qubit counts")
 
 
 @dataclass(frozen=True)
@@ -214,24 +216,7 @@ class CampaignResult:
                 "seed": self.config.seed,
                 "tolerance": self.config.tolerance,
             },
-            "rows": [
-                {
-                    "bound": r.bound,
-                    "alpha": r.alpha,
-                    "m": r.m,
-                    "qubits": r.qubits,
-                    "total": r.total,
-                    "applicable": r.applicable,
-                    "passed": r.passed,
-                    "failed": r.failed,
-                    "indeterminate": r.indeterminate,
-                    "not_applicable": r.not_applicable,
-                    "worst_slack": r.worst_slack,
-                    "worst_sample": r.worst_sample,
-                    "failures": [dict(f) for f in r.failures],
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "stats": self.stats,
             "all_passed": self.all_passed,
         }
@@ -241,14 +226,6 @@ class CampaignResult:
 def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     """The exact state a campaign drew for one sample; the replay hook."""
     return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
-
-
-def _kind_fits(kind: BoundKind, num_qubits: int) -> bool:
-    if kind.id == BoundId.TIGHT_TRIPARTITE:
-        return num_qubits == 3
-    if kind.id in SPLIT_KINDS:
-        return num_qubits >= 4
-    return True
 
 
 class _RowAccumulator:
@@ -297,21 +274,16 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     config.validate()
     accs = []
     for n in config.qubit_counts:
-        for kind in config.kinds:
-            if _kind_fits(kind, n):
-                accs.append(_RowAccumulator(kind, n, config.tolerance))
-    evaluations = 0
-    for n in config.qubit_counts:
-        fitting = [a for a in accs if a.qubits == n]
+        fitting = [_RowAccumulator(k, n, config.tolerance) for k in config.kinds if k.fits(n)]
+        accs.extend(fitting)
         for i in range(config.samples):
             prof = profile(campaign_state(config.seed, n, i))
             for acc in fitting:
                 acc.update(evaluate(prof, acc.kind), i)
-                evaluations += 1
     rows = tuple(acc.row() for acc in accs)
     stats = {
         "profiles": config.samples * len(config.qubit_counts),
-        "bound_evaluations": evaluations,
+        "bound_evaluations": sum(r.total for r in rows),
     }
     return CampaignResult(config, rows, all(r.failed == 0 for r in rows), stats)
 
@@ -369,46 +341,16 @@ _DEFAULT_BOUNDS = (
 )
 
 
-def _default_alphas(bound: BoundId) -> tuple:
-    if bound == BoundId.CKW:
-        return (2.0,)
-    if bound in NEGATIVE_UPPER:
-        return (-0.5, -1.0, -2.0)
-    if bound in EOF_LOWER:
-        return (ALPHA_MIN_EOF, 2.0, 3.0)
-    return (2.0, 2.5, 3.0)
-
-
-def _alphas_for(bound: BoundId, grid: tuple | None) -> tuple:
-    if bound == BoundId.CKW:
-        return (2.0,)  # fixed power regardless of any grid
-    if grid is None:
-        return _default_alphas(bound)
-    valid = []
-    for a in grid:
-        try:
-            BoundKind(bound, a)
-        except ValueError:
-            continue
-        valid.append(a)
-    if not valid:
-        raise ValueError(f"no grid point is a valid power for {bound.value}")
-    return tuple(valid)
-
-
 def _verify_kinds(args, qubit_counts: tuple) -> tuple:
     grid = None
     if any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step)):
         grid = _grid_from_args(args, None)
-    chosen = [BoundId(b) for b in args.bound] if args.bound else None
-    kinds = []
-    for bound in (chosen if chosen is not None else _DEFAULT_BOUNDS):
-        if chosen is None and bound == BoundId.TIGHT_TRIPARTITE and 3 not in qubit_counts:
-            continue  # the default battery shrinks quietly; explicit picks error instead
-        m = args.m if bound in SPLIT_KINDS else None
-        for a in _alphas_for(bound, grid):
-            kinds.append(BoundKind(bound, a, m))
-    return tuple(kinds)
+    kinds = tuple(kind for bound in (args.bound or _DEFAULT_BOUNDS)
+                  for kind in family_kinds(bound, grid, args.m))
+    if args.bound:
+        return kinds  # explicit picks that fit no qubit count are an error
+    # the default battery shrinks quietly
+    return tuple(k for k in kinds if any(k.fits(n) for n in qubit_counts))
 
 
 def cmd_verify(args) -> int:

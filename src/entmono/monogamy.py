@@ -6,10 +6,10 @@ remaining parties ordered B_1 ... B_{N-1}.
 
 Lower bound families on concurrence (alpha >= 2):
 
-  ckw               C^2(A|B1..) >= sum_i C^2(A,B_i), alpha fixed at 2
+  ckw               alpha-power with alpha fixed at 2 (the CKW inequality)
   alpha-power       C^a(A|B1..) >= sum_i C^a(A,B_i)
-  tight-tripartite  N = 3 only: C^a >= C^a(A,B1) + (a/2) C^a(A,B2),
-                    valid when C(A,B1) >= C(A,B2)
+  tight-tripartite  tight-ordered restricted to N = 3:
+                    C^a >= C^a(A,B1) + (a/2) C^a(A,B2) when C(A,B1) >= C(A,B2)
   tight-ordered     coefficient (a/2)^(i-1) on the i-th pair term, valid
                     when C(A,B_i) >= C(A|B_{i+1}..B_{N-1}) for all i <= N-2
   tight-split       N >= 4: the ordering holds up to index m and reverses
@@ -39,16 +39,18 @@ mixed reduction with two or more remaining parties), True otherwise.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _reduce, as_state_vector, num_qubits_of
+from .linalg import MAX_QUBITS, _reduce, as_state_vector, num_qubits_of
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 COMPARISON_ATOL = 1e-12
 DROP_ATOL = 1e-12
 STRICT_PAIR_FLOOR = 1e-6
 STRICT_SLACK_FLOOR = 1e-14
+POWER_ATOL = 1e-12
 
 ALPHA_MIN_CONCURRENCE = 2.0
 ALPHA_MIN_EOF = math.sqrt(2.0)
@@ -67,15 +69,44 @@ class BoundId(str, Enum):
     EOF_TIGHT_SPLIT = "eof-tight-split"
 
 
-CONCURRENCE_LOWER = frozenset({
-    BoundId.CKW, BoundId.ALPHA_POWER, BoundId.TIGHT_TRIPARTITE,
-    BoundId.TIGHT_ORDERED, BoundId.TIGHT_SPLIT,
-})
-EOF_LOWER = frozenset({
-    BoundId.EOF_ALPHA_POWER, BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_TIGHT_SPLIT,
-})
-NEGATIVE_UPPER = frozenset({BoundId.UPPER_MEAN, BoundId.UPPER_SUM})
-SPLIT_KINDS = frozenset({BoundId.TIGHT_SPLIT, BoundId.EOF_TIGHT_SPLIT})
+class _Family(NamedTuple):
+    """One bound family; every per-family decision reads its row in _FAMILIES."""
+
+    measure: str      # "C" concurrence or "E" entanglement of formation
+    shape: str        # lower: unit, ordered, split; negative-power upper: mean, sum
+    powers: tuple     # (lo, hi): lo <= alpha < hi; lo == hi is a fixed power
+    parties: range    # the party counts the bound is stated for
+    defaults: tuple   # the powers a campaign checks when given no grid
+
+    def allows(self, alpha: float) -> bool:
+        """Whether alpha is in powers; lo and a fixed power count within POWER_ATOL."""
+        lo, hi = self.powers
+        if lo == hi:
+            return abs(alpha - lo) <= POWER_ATOL
+        return lo - POWER_ATOL <= alpha < hi
+
+
+_N3_UP = range(3, MAX_QUBITS + 1)
+_N4_UP = range(4, MAX_QUBITS + 1)
+_C_POWERS = (ALPHA_MIN_CONCURRENCE, math.inf)
+_E_POWERS = (ALPHA_MIN_EOF, math.inf)
+_NEG_POWERS = (-math.inf, 0.0)
+_C_DEFAULTS = (2.0, 2.5, 3.0)
+_E_DEFAULTS = (ALPHA_MIN_EOF, 2.0, 3.0)
+_NEG_DEFAULTS = (-0.5, -1.0, -2.0)
+
+_FAMILIES = {
+    BoundId.CKW: _Family("C", "unit", (2.0, 2.0), _N3_UP, (2.0,)),
+    BoundId.ALPHA_POWER: _Family("C", "unit", _C_POWERS, _N3_UP, _C_DEFAULTS),
+    BoundId.TIGHT_TRIPARTITE: _Family("C", "ordered", _C_POWERS, range(3, 4), _C_DEFAULTS),
+    BoundId.TIGHT_ORDERED: _Family("C", "ordered", _C_POWERS, _N3_UP, _C_DEFAULTS),
+    BoundId.TIGHT_SPLIT: _Family("C", "split", _C_POWERS, _N4_UP, _C_DEFAULTS),
+    BoundId.UPPER_MEAN: _Family("C", "mean", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS),
+    BoundId.UPPER_SUM: _Family("C", "sum", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS),
+    BoundId.EOF_ALPHA_POWER: _Family("E", "unit", _E_POWERS, _N3_UP, _E_DEFAULTS),
+    BoundId.EOF_TIGHT_ORDERED: _Family("E", "ordered", _E_POWERS, _N3_UP, _E_DEFAULTS),
+    BoundId.EOF_TIGHT_SPLIT: _Family("E", "split", _E_POWERS, _N4_UP, _E_DEFAULTS),
+}
 
 
 @dataclass(frozen=True)
@@ -91,20 +122,53 @@ class BoundKind:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.id == BoundId.CKW and abs(self.alpha - 2.0) > 1e-12:
-            raise ValueError("ckw is the squared bound; alpha must be 2")
-        if self.id in CONCURRENCE_LOWER and self.alpha < ALPHA_MIN_CONCURRENCE - 1e-12:
-            raise ValueError(f"{self.id.value} requires alpha >= 2, got {self.alpha}")
-        if self.id in EOF_LOWER and self.alpha < ALPHA_MIN_EOF - 1e-12:
-            raise ValueError(f"{self.id.value} requires alpha >= sqrt(2), got {self.alpha}")
-        if self.id in NEGATIVE_UPPER and self.alpha >= 0.0:
-            raise ValueError(f"{self.id.value} requires alpha < 0, got {self.alpha}")
+        family = _FAMILIES[self.id]
+        if not family.allows(self.alpha):
+            lo, hi = family.powers
+            need = f"alpha = {lo:g}" if lo == hi else f"{lo:g} <= alpha < {hi:g}"
+            raise ValueError(f"{self.id.value} requires {need}, got {self.alpha}")
         if self.m is not None:
-            if self.id not in SPLIT_KINDS:
+            if family.shape != "split":
                 raise ValueError(f"{self.id.value} does not take a split index m")
             if int(self.m) < 1:
                 raise ValueError("split index m must be >= 1")
             object.__setattr__(self, "m", int(self.m))
+
+    def fits(self, num_parties: int) -> bool:
+        """Whether the bound is stated for num_parties parties (and its pinned m)."""
+        return (num_parties in _FAMILIES[self.id].parties
+                and (self.m is None or self.m <= num_parties - 3))
+
+
+def family_kinds(bound, grid=None, m: int | None = None) -> tuple:
+    """The kinds one bound family contributes to a campaign.
+
+    A fixed-power family gives its one power whatever the grid. Otherwise
+    the family gives the grid points it allows, or its default powers when
+    there is no grid. m reaches split families only.
+    """
+    bound = BoundId(bound)
+    family = _FAMILIES[bound]
+    lo, hi = family.powers
+    if grid is None or lo == hi:  # a fixed power ignores any grid
+        alphas = family.defaults
+    else:
+        alphas = tuple(a for a in grid if family.allows(a))
+        if not alphas:
+            raise ValueError(f"no grid point is a valid power for {bound.value}")
+    return tuple(BoundKind(bound, a, _split_only(bound, m)) for a in alphas)
+
+
+def _split_only(bound: BoundId, m: int | None) -> int | None:
+    return m if _FAMILIES[bound].shape == "split" else None
+
+
+def _family_at(kind: BoundKind, num_parties: int) -> _Family:
+    """The family of a kind, after checking that the kind fits num_parties."""
+    if not kind.fits(num_parties):
+        pinned = "" if kind.m is None else f" with m = {kind.m}"
+        raise ValueError(f"{kind.id.value}{pinned} does not apply to {num_parties} parties")
+    return _FAMILIES[kind.id]
 
 
 @dataclass(frozen=True)
@@ -213,27 +277,24 @@ def bound_coefficients(kind_id, alpha: float, num_parties: int,
     For upper-mean this is the no-drop case 1/(N-1); evaluation recomputes
     the mean over retained terms when zeros are dropped.
     """
-    kind_id = BoundId(kind_id)
-    k = num_parties - 1
-    if k < 2:
-        raise ValueError("at least three parties are required")
-    if kind_id in (BoundId.CKW, BoundId.ALPHA_POWER, BoundId.UPPER_SUM,
-                   BoundId.EOF_ALPHA_POWER):
-        return np.ones(k)
-    if kind_id == BoundId.UPPER_MEAN:
-        return np.full(k, 1.0 / k)
-    if kind_id == BoundId.TIGHT_TRIPARTITE:
-        if k != 2:
-            raise ValueError("tight-tripartite applies to three parties only")
-        return np.array([1.0, alpha / 2.0])
-    ratio = alpha / 2.0 if kind_id in CONCURRENCE_LOWER else alpha / math.sqrt(2.0)
-    if kind_id in (BoundId.TIGHT_ORDERED, BoundId.EOF_TIGHT_ORDERED):
-        return ratio ** np.arange(k)
-    # split kinds: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
-    if m is None:
+    kind = BoundKind(kind_id, alpha, m)
+    family = _family_at(kind, num_parties)
+    if family.shape == "split" and m is None:
         raise ValueError("split kinds need a split index m")
-    if not 1 <= m <= num_parties - 3:
-        raise ValueError(f"split index m must be 1..{num_parties - 3}")
+    return _coefficients(family, kind.alpha, num_parties - 1, m)
+
+
+def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
+    if family.shape in ("unit", "sum"):
+        return np.ones(k)
+    if family.shape == "mean":
+        return np.full(k, 1.0 / k)
+    # the ratio is alpha over the least allowed power, so a tightened family
+    # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
+    ratio = alpha / family.powers[0]
+    if family.shape == "ordered":
+        return ratio ** np.arange(k)
+    # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
     coeffs = np.empty(k)
     coeffs[:m] = ratio ** np.arange(m)
     coeffs[m:k - 1] = ratio ** (m + 1)
@@ -270,23 +331,15 @@ def _split_relations(num_parties: int, m: int):
     return ups + downs
 
 
-def _resolve_conditions(prof: PairwiseProfile, kind: BoundKind):
+def _resolve_conditions(prof: PairwiseProfile, shape: str, m: int | None):
     """Ordering conditions and the split index actually used."""
     n = prof.num_parties
-    if kind.id in (BoundId.CKW, BoundId.ALPHA_POWER, BoundId.EOF_ALPHA_POWER):
+    if shape == "unit":
         return (), None
-    if kind.id == BoundId.TIGHT_TRIPARTITE:
-        if n != 3:
-            raise ValueError("tight-tripartite applies to three parties only")
-        return _conditions(prof, [(1, ">=")]), None
-    if kind.id in (BoundId.TIGHT_ORDERED, BoundId.EOF_TIGHT_ORDERED):
+    if shape == "ordered":
         return _conditions(prof, [(i, ">=") for i in range(1, n - 1)]), None
-    if n < 4:
-        raise ValueError("split kinds need at least four parties")
-    if kind.m is not None:
-        if kind.m > n - 3:
-            raise ValueError(f"split index m must be 1..{n - 3}")
-        return _conditions(prof, _split_relations(n, kind.m)), kind.m
+    if m is not None:
+        return _conditions(prof, _split_relations(n, m)), m
     # prefer the largest m whose decidable conditions do not fail
     fallback = None
     for m in range(n - 3, 0, -1):
@@ -300,25 +353,22 @@ def _resolve_conditions(prof: PairwiseProfile, kind: BoundKind):
 
 def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
     """Evaluate one bound against a profile, reporting slack and verdict."""
-    if kind.id in NEGATIVE_UPPER:
-        return _evaluate_upper(prof, kind)
-    if kind.id in EOF_LOWER:
-        values = np.asarray(prof.e_pair)
-        lhs_base = prof.e_focus_rest
-    else:
-        values = np.asarray(prof.c_pair)
-        lhs_base = prof.c_focus_rest
-    checks, m_used = _resolve_conditions(prof, kind)
-    coeffs = bound_coefficients(kind.id, kind.alpha, prof.num_parties, m_used)
+    family = _family_at(kind, prof.num_parties)
+    if family.shape in ("mean", "sum"):
+        return _evaluate_upper(prof, kind, family.shape == "mean")
+    lhs_base, values = ((prof.e_focus_rest, prof.e_pair) if family.measure == "E"
+                        else (prof.c_focus_rest, prof.c_pair))
+    checks, m_used = _resolve_conditions(prof, family.shape, kind.m)
+    coeffs = _coefficients(family, kind.alpha, prof.num_parties - 1, m_used)
     lhs = float(lhs_base ** kind.alpha)
-    rhs = float(coeffs @ values ** kind.alpha)
+    rhs = float(coeffs @ np.asarray(values) ** kind.alpha)
     return BoundReport(
         kind=kind, direction="lower", lhs=lhs, rhs=rhs, slack=lhs - rhs,
         applicable=_applicability(checks), conditions=checks, m_used=m_used,
     )
 
 
-def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
+def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind, mean: bool) -> BoundReport:
     nan = float("nan")
     retained = [i for i, c in enumerate(prof.c_pair) if c > DROP_ATOL]
     dropped = tuple(i for i in range(len(prof.c_pair)) if i not in retained)
@@ -331,7 +381,7 @@ def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
     lhs = float(prof.c_focus_rest ** kind.alpha)
     powers = np.asarray([prof.c_pair[i] for i in retained]) ** kind.alpha
     rhs = float(powers.sum())
-    if kind.id == BoundId.UPPER_MEAN:
+    if mean:
         rhs /= len(retained)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return BoundReport(kind, "upper", lhs, rhs, nan, False, dropped_pairs=dropped,
@@ -382,8 +432,8 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
     y1, y2 = [], []
     app1 = app2 = None
     for idx, a in enumerate(grid):
-        kt = BoundKind(tight_id, a, m if tight_id in SPLIT_KINDS else None)
-        kb = BoundKind(base_id, a, m if base_id in SPLIT_KINDS else None)
+        kt = BoundKind(tight_id, a, _split_only(tight_id, m))
+        kb = BoundKind(base_id, a, _split_only(base_id, m))
         rt, rb = evaluate(prof, kt), evaluate(prof, kb)
         y1.append(rt.lhs - rt.rhs)
         y2.append(rb.lhs - rb.rhs)

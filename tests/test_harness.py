@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from entmono import harness
 from entmono.harness import (
     CampaignConfig,
     alpha_grid,
@@ -110,6 +111,12 @@ def test_campaign_config_validation():
     split = BoundKind(BoundId.TIGHT_SPLIT, 2.0)
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig(5, (3,), (split,), 0))
+    with pytest.raises(ValueError, match="fits none"):
+        run_campaign(CampaignConfig(5, (4,), (BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2),), 0))
+    with pytest.raises(ValueError, match="repeat"):
+        run_campaign(CampaignConfig(5, (3, 3), (kind,), 0))
+    with pytest.raises(ValueError, match="repeat"):
+        run_campaign(CampaignConfig(5, (3,), (kind, BoundKind(BoundId.CKW, 2.0)), 0))
 
 
 def test_run_campaign_counters_and_replay():
@@ -278,6 +285,31 @@ def test_cli_verify_default_battery_shrinks_quietly(tmp_path):
     bounds = {row["bound"] for row in json.loads(out.read_text())["rows"]}
     assert "tight-tripartite" not in bounds
     assert "ckw" in bounds
+
+
+@pytest.mark.parametrize("argv", [
+    ["--qubits", "3,3", "--bound", "ckw"],
+    ["--bound", "ckw", "--bound", "ckw"],
+    ["--qubits", "4", "--bound", "tight-split", "--m", "2"],
+])
+def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn before the input was rejected")
+
+    monkeypatch.setattr(harness, "campaign_state", no_sampling)
+    assert main(["verify", "--samples", "300"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_cli_verify_pinned_split_index_keeps_fitting_counts(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--samples", "3", "--qubits", "6,4", "--bound", "tight-split",
+                 "--m", "2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert {(row["qubits"], row["m"]) for row in rows} == {(6, 2)}
+    assert len(rows) == 3  # the default powers
 
 
 def test_cli_sweep(tmp_path):

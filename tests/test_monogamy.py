@@ -18,6 +18,7 @@ from entmono.monogamy import (
     PartitionSpec,
     bound_coefficients,
     evaluate,
+    family_kinds,
     profile,
     residual_sweep,
 )
@@ -245,6 +246,36 @@ def test_applicability_is_three_valued_at_four_parties():
         seen.add(rep.applicable)
     # tails of mixed reductions are unknown, so True can never be decided
     assert seen == {None, False}
+
+
+def test_fits_is_exactly_where_evaluate_applies():
+    # the family table is the one source: fits and evaluate cannot disagree
+    profiles = {n: profile(w_state(n)) for n in range(3, 7)}
+    for bound in BoundId:
+        for m in (None, 1, 2):  # family_kinds hands m to split families only
+            kind = family_kinds(bound, m=m)[0]
+            for n, prof in profiles.items():
+                try:
+                    evaluate(prof, kind)
+                    evaluated = True
+                except ValueError:
+                    evaluated = False
+                assert kind.fits(n) is evaluated, (kind, n)
+    assert [n for n in profiles if BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0).fits(n)] == [3]
+    assert [n for n in profiles if BoundKind(BoundId.EOF_TIGHT_SPLIT, 2.0).fits(n)] == [4, 5, 6]
+    assert [n for n in profiles if BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2).fits(n)] == [5, 6]
+
+
+def test_tight_tripartite_is_tight_ordered_at_three_parties():
+    states = [w_state(3), generalized_schmidt(FLAT), _bell_with_spectator()]
+    states += [campaign_state(9, 3, i) for i in range(20)]
+    for psi in states:
+        prof = profile(psi)
+        for alpha in (2.0, 2.5, 3.0):
+            trip = evaluate(prof, BoundKind(BoundId.TIGHT_TRIPARTITE, alpha))
+            ordered = evaluate(prof, BoundKind(BoundId.TIGHT_ORDERED, alpha))
+            assert (trip.lhs, trip.rhs, trip.conditions) == \
+                (ordered.lhs, ordered.rhs, ordered.conditions)
 
 
 def test_split_kind_auto_index():
