@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .monogamy import (
     ALPHA_MIN_EOF,
     STRICT_SLACK_FLOOR,
     BoundId,
-    BoundKind,
     PartitionSpec,
+    check_split_index,
     evaluate,
     family_kinds,
     profile,
@@ -108,7 +108,7 @@ def load_state_file(path: str) -> LoadedState:
     if data.get("format_version") != STATE_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {data.get('format_version')!r}")
     n = data.get("num_qubits")
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"{path}: num_qubits must be an integer 1..{MAX_QUBITS}")
     has_amp = "amplitudes" in data
     has_rho = "density_matrix" in data
@@ -179,21 +179,23 @@ class CampaignConfig:
                 raise ValueError(f"{kind.id.value}{pinned} fits none of the requested qubit counts")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CampaignRow:
+    """One bound kind at one qubit count; the campaign tallies samples into it."""
+
     bound: str
     alpha: float
     m: int | None
     qubits: int
-    total: int
-    applicable: int
-    passed: int
-    failed: int
-    indeterminate: int
-    not_applicable: int
-    worst_slack: float | None
-    worst_sample: int | None
-    failures: tuple
+    total: int = 0
+    applicable: int = 0
+    passed: int = 0
+    failed: int = 0
+    indeterminate: int = 0
+    not_applicable: int = 0
+    worst_slack: float | None = None
+    worst_sample: int | None = None
+    failures: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -228,64 +230,46 @@ def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
 
 
-class _RowAccumulator:
-    def __init__(self, kind: BoundKind, qubits: int, tolerance: float):
-        self.kind = kind
-        self.qubits = qubits
-        self.tolerance = tolerance
-        self.total = self.applicable = self.failed = 0
-        self.indeterminate = self.not_applicable = 0
-        self.worst_slack = None
-        self.worst_sample = None
-        self.failures = []
-
-    def update(self, report, sample_index: int) -> None:
-        self.total += 1
-        if report.applicable is None:
-            self.indeterminate += 1
-            return
-        if report.applicable is False:
-            self.not_applicable += 1
-            return
-        self.applicable += 1
-        # strict upper bounds must clear a positive floor, not just -tolerance
-        floor = STRICT_SLACK_FLOOR if (report.direction == "upper" and report.strict) \
-            else -self.tolerance
-        if report.slack < floor:
-            self.failed += 1
-            self.failures.append({"sample_index": sample_index, "slack": report.slack})
-        if self.worst_slack is None or report.slack < self.worst_slack:
-            self.worst_slack = report.slack
-            self.worst_sample = sample_index
-
-    def row(self) -> CampaignRow:
-        return CampaignRow(
-            bound=self.kind.id.value, alpha=self.kind.alpha, m=self.kind.m,
-            qubits=self.qubits, total=self.total, applicable=self.applicable,
-            passed=self.applicable - self.failed, failed=self.failed,
-            indeterminate=self.indeterminate, not_applicable=self.not_applicable,
-            worst_slack=self.worst_slack, worst_sample=self.worst_sample,
-            failures=tuple(self.failures),
-        )
+def _tally(row: CampaignRow, report, sample_index: int, tolerance: float) -> None:
+    row.total += 1
+    if report.applicable is None:
+        row.indeterminate += 1
+        return
+    if report.applicable is False:
+        row.not_applicable += 1
+        return
+    row.applicable += 1
+    # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
+    floor = STRICT_SLACK_FLOOR if report.strict else -tolerance
+    if report.slack < floor:
+        row.failed += 1
+        row.failures.append({"sample_index": sample_index, "slack": report.slack})
+    else:
+        row.passed += 1
+    if row.worst_slack is None or report.slack < row.worst_slack:
+        row.worst_slack = report.slack
+        row.worst_sample = sample_index
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
     config.validate()
-    accs = []
+    rows = []
     for n in config.qubit_counts:
-        fitting = [_RowAccumulator(k, n, config.tolerance) for k in config.kinds if k.fits(n)]
-        accs.extend(fitting)
+        fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))
+                   for k in config.kinds if k.fits(n)]
+        if not fitting:
+            continue  # no kind is stated for n parties, so nothing to sample
         for i in range(config.samples):
             prof = profile(campaign_state(config.seed, n, i))
-            for acc in fitting:
-                acc.update(evaluate(prof, acc.kind), i)
-    rows = tuple(acc.row() for acc in accs)
+            for kind, row in fitting:
+                _tally(row, evaluate(prof, kind), i, config.tolerance)
+        rows.extend(row for _, row in fitting)
     stats = {
-        "profiles": config.samples * len(config.qubit_counts),
+        "profiles": config.samples * len({r.qubits for r in rows}),
         "bound_evaluations": sum(r.total for r in rows),
     }
-    return CampaignResult(config, rows, all(r.failed == 0 for r in rows), stats)
+    return CampaignResult(config, tuple(rows), all(r.failed == 0 for r in rows), stats)
 
 
 # ------------------------------------------------------------------- commands
@@ -296,13 +280,6 @@ def _write_text(out: str | None, text: str) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _clean_float(x) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
 
 
 def _grid_from_args(args, default: tuple | None):
@@ -342,14 +319,20 @@ _DEFAULT_BOUNDS = (
 
 
 def _verify_kinds(args, qubit_counts: tuple) -> tuple:
+    """Explicit picks must each be usable; the default battery shrinks quietly."""
     grid = None
     if any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step)):
         grid = _grid_from_args(args, None)
-    kinds = tuple(kind for bound in (args.bound or _DEFAULT_BOUNDS)
-                  for kind in family_kinds(bound, grid, args.m))
+    bounds = args.bound or _DEFAULT_BOUNDS
+    check_split_index(bounds, args.m)
+    kinds = []
+    for bound in bounds:
+        found = family_kinds(bound, grid, args.m)
+        if args.bound and not found:
+            raise ValueError(f"no grid point is a valid power for {BoundId(bound).value}")
+        kinds.extend(found)
     if args.bound:
-        return kinds  # explicit picks that fit no qubit count are an error
-    # the default battery shrinks quietly
+        return tuple(kinds)  # CampaignConfig rejects a pick that fits no qubit count
     return tuple(k for k in kinds if any(k.fits(n) for n in qubit_counts))
 
 
@@ -400,41 +383,28 @@ def cmd_measure(args) -> int:
     loaded = load_state_file(args.state)
     part = _partition_from_args(args, loaded.num_qubits)
     pure = _as_pure(loaded)
-    note = ""
     if pure is not None:
         prof = profile(pure, part)
-        concurrence = {
-            "focus_rest": prof.c_focus_rest,
-            "pairs": list(prof.c_pair),
-            "tails": [_clean_float(t) for t in prof.c_tail],
-        }
-        eof = {"focus_rest": prof.e_focus_rest, "pairs": list(prof.e_pair)}
-        if any(t is None for t in prof.c_tail):
-            note = "tail concurrences of mixed reductions have no closed form"
+        focus = (prof.c_focus_rest, prof.e_focus_rest)
+        pairs = (list(prof.c_pair), list(prof.e_pair))
+        tails = list(prof.c_tail)
+        note = ("tail concurrences of mixed reductions have no closed form"
+                if None in tails else "")
     else:
         part.validate(loaded.num_qubits)  # profile does this on the pure path
         rho = loaded.density_matrix
-        pairs = [
-            wootters_concurrence(partial_trace(rho, (part.focus, b)))
-            for b in part.rest
-        ]
-        concurrence = {
-            "focus_rest": None,
-            "pairs": pairs,
-            "tails": [None] * (loaded.num_qubits - 2),
-        }
-        eof = {
-            "focus_rest": None,
-            "pairs": eof_from_squared_concurrence(np.square(pairs)).tolist(),
-        }
+        c_pair = [wootters_concurrence(partial_trace(rho, (part.focus, b))) for b in part.rest]
+        focus = (None, None)
+        pairs = (c_pair, eof_from_squared_concurrence(np.square(c_pair)).tolist())
+        tails = [None] * (loaded.num_qubits - 2)
         note = "mixed input: only pairwise closed forms are available"
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "num_qubits": loaded.num_qubits,
         "partition": {"focus": part.focus, "rest": list(part.rest)},
         "pure": pure is not None,
-        "concurrence": concurrence,
-        "eof": eof,
+        "concurrence": {"focus_rest": focus[0], "pairs": pairs[0], "tails": tails},
+        "eof": {"focus_rest": focus[1], "pairs": pairs[1]},
         "note": note,
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -442,6 +412,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_split_index((args.bound_kind, args.baseline), args.m)
     loaded = load_state_file(args.state)
     pure = _as_pure(loaded)
     if pure is None:

@@ -144,8 +144,8 @@ def family_kinds(bound, grid=None, m: int | None = None) -> tuple:
     """The kinds one bound family contributes to a campaign.
 
     A fixed-power family gives its one power whatever the grid. Otherwise
-    the family gives the grid points it allows, or its default powers when
-    there is no grid. m reaches split families only.
+    the family gives the grid points it allows (possibly none), or its
+    default powers when there is no grid. m reaches split families only.
     """
     bound = BoundId(bound)
     family = _FAMILIES[bound]
@@ -154,9 +154,13 @@ def family_kinds(bound, grid=None, m: int | None = None) -> tuple:
         alphas = family.defaults
     else:
         alphas = tuple(a for a in grid if family.allows(a))
-        if not alphas:
-            raise ValueError(f"no grid point is a valid power for {bound.value}")
     return tuple(BoundKind(bound, a, _split_only(bound, m)) for a in alphas)
+
+
+def check_split_index(bounds, m: int | None) -> None:
+    """Reject a split index m when none of the bound families takes one."""
+    if m is not None and all(_FAMILIES[BoundId(b)].shape != "split" for b in bounds):
+        raise ValueError(f"split index m = {m} is unused: no chosen bound is a split family")
 
 
 def _split_only(bound: BoundId, m: int | None) -> int | None:
@@ -378,9 +382,9 @@ def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind, mean: bool) -> Bound
     if prof.c_focus_rest <= DROP_ATOL:
         return BoundReport(kind, "upper", nan, nan, nan, False, dropped_pairs=dropped,
                            note="focus-rest concurrence is zero; negative power undefined")
-    lhs = float(prof.c_focus_rest ** kind.alpha)
-    powers = np.asarray([prof.c_pair[i] for i in retained]) ** kind.alpha
-    rhs = float(powers.sum())
+    with np.errstate(over="ignore"):  # an overflow to inf is reported below
+        lhs = float(np.float64(prof.c_focus_rest) ** kind.alpha)
+        rhs = float((np.asarray([prof.c_pair[i] for i in retained]) ** kind.alpha).sum())
     if mean:
         rhs /= len(retained)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):

@@ -76,6 +76,7 @@ def test_state_file_validation(tmp_path):
         {"amplitudes": amps[:2]},
         {"amplitudes": [[1.0, 0.0, 0.0]] * 4},
         {"amplitudes": [[1.0, 0.0]] * 4},  # norm 2
+        {"num_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},  # a bool is not a count
     ):
         bad = {**good, **breakage}
         with pytest.raises(ValueError):
@@ -175,7 +176,7 @@ def test_cli_example_golden_values(tmp_path, capsys):
     assert out.read_bytes() == again.read_bytes()
 
 
-def test_cli_example_grid_override(tmp_path):
+def test_cli_example_grid_override(tmp_path, capsys):
     out = tmp_path / "ex3.csv"
     code = main(["example", "--id", "3", "--alpha-min", "1.5", "--alpha-max", "2.0",
                  "--alpha-step", "0.25", "--out", str(out)])
@@ -184,6 +185,12 @@ def test_cli_example_grid_override(tmp_path):
     assert main(["example", "--id", "3", "--alpha-min", "1.5", "--out", str(out)]) == 2
     assert main(["example", "--id", "3", "--alpha-min", "1.0", "--alpha-max", "2.0",
                  "--alpha-step", "0.25", "--out", str(out)]) == 2  # below sqrt(2)
+    # powers this negative overflow; the bound is reported unverifiable, not a crash
+    capsys.readouterr()
+    assert main(["example", "--id", "2", "--alpha-min", "-2000", "--alpha-max", "-1000",
+                 "--alpha-step", "500", "--out", str(out)]) == 0
+    assert "applicable=False" in capsys.readouterr().err
+    assert len(out.read_text().strip().split("\n")) == 4
 
 
 def test_cli_example_two_is_strictly_negative(tmp_path):
@@ -285,12 +292,22 @@ def test_cli_verify_default_battery_shrinks_quietly(tmp_path):
     bounds = {row["bound"] for row in json.loads(out.read_text())["rows"]}
     assert "tight-tripartite" not in bounds
     assert "ckw" in bounds
+    # a grid serves either the positive or the negative families, never both
+    for grid, kept, dropped in ((["2", "3", "0.5"], "alpha-power", "upper-mean"),
+                                (["-2", "-1", "0.5"], "upper-mean", "alpha-power")):
+        argv = ["verify", "--samples", "2", "--alpha-min", grid[0], "--alpha-max", grid[1],
+                "--alpha-step", grid[2], "--out", str(out)]
+        assert main(argv) == 0
+        bounds = {row["bound"] for row in json.loads(out.read_text())["rows"]}
+        assert kept in bounds and dropped not in bounds and "ckw" in bounds
 
 
 @pytest.mark.parametrize("argv", [
     ["--qubits", "3,3", "--bound", "ckw"],
     ["--bound", "ckw", "--bound", "ckw"],
     ["--qubits", "4", "--bound", "tight-split", "--m", "2"],
+    ["--bound", "ckw", "--m", "2"],
+    ["--m", "1"],
 ])
 def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     def no_sampling(*args):
@@ -301,6 +318,21 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_run_campaign_samples_only_counts_with_rows(monkeypatch):
+    drawn = []
+
+    def recording_state(seed, qubits, index):
+        drawn.append(qubits)
+        return campaign_state(seed, qubits, index)
+
+    monkeypatch.setattr(harness, "campaign_state", recording_state)
+    kind = BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0)
+    result = run_campaign(CampaignConfig(5, (3, 4), (kind,), 0))
+    assert drawn == [3] * 5
+    assert {row.qubits for row in result.rows} == {3}
+    assert result.stats == {"profiles": 5, "bound_evaluations": 5}
 
 
 def test_cli_verify_pinned_split_index_keeps_fitting_counts(tmp_path):
@@ -330,6 +362,10 @@ def test_cli_sweep(tmp_path):
                  "--alpha-min", "2", "--alpha-max", "2", "--alpha-step", "1"]) == 2
     assert main(["sweep", "--state", str(state), "--bound", "ckw",
                  "--baseline", "ckw"]) == 2  # grid flags are required here
+    # a split index that neither bound takes is a usage error
+    assert main(["sweep", "--state", str(state), "--bound", "tight-ordered",
+                 "--baseline", "alpha-power", "--alpha-min", "2", "--alpha-max", "3",
+                 "--alpha-step", "0.5", "--m", "2"]) == 2
 
 
 @pytest.mark.parametrize("argv", [

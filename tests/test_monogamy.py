@@ -218,6 +218,13 @@ def test_upper_bound_degenerate_profiles():
     assert "zero" in ghz.note
     product = evaluate(profile(basis_state(3, 0)), BoundKind(BoundId.UPPER_SUM, -1.0))
     assert product.applicable is False
+    # tiny but retained concurrences: both negative powers overflow to inf
+    eps = 1e-4
+    psi = eps * (basis_state(3, 4) + basis_state(3, 2) + basis_state(3, 1))
+    psi += math.sqrt(1.0 - 3 * eps ** 2) * basis_state(3, 0)
+    huge = evaluate(profile(psi), BoundKind(BoundId.UPPER_MEAN, -50.0))
+    assert huge.applicable is False
+    assert "overflow" in huge.note
 
 
 def test_lower_bounds_on_ghz():
