@@ -12,6 +12,9 @@ Conventions used throughout the package:
   - Public functions validate their input once; the underscore kernels
     behind them trust their arguments and are called directly by code
     that has already validated.
+  - The kernels take a leading batch axis: a stack of S states is one
+    (S, 2**n) array, and a public single-state function calls its kernel
+    with a batch of one.
 """
 
 import numpy as np
@@ -127,11 +130,12 @@ def reduced_state(psi, keep) -> np.ndarray:
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
-    return _reduce(vec, _kept_positions(keep, n), n)
+    return _reduce(vec[None], _kept_positions(keep, n), n)[0]
 
 
-def _reduce(vec: np.ndarray, kept: tuple, n: int) -> np.ndarray:
-    """reduced_state on a trusted n-qubit vector and a sorted, valid keep set."""
-    traced = [q for q in range(n) if q not in kept]
-    block = vec.reshape([2] * n).transpose(list(kept) + traced).reshape(2 ** len(kept), -1)
-    return block @ block.conj().T
+def _reduce(vecs: np.ndarray, kept: tuple, n: int) -> np.ndarray:
+    """Reduced states (S, d, d) of trusted (S, 2**n) vectors on a sorted, valid keep set."""
+    traced = tuple(q for q in range(n) if q not in kept)
+    axes = [0] + [1 + q for q in kept + traced]
+    block = vecs.reshape([-1] + [2] * n).transpose(axes).reshape(len(vecs), 2 ** len(kept), -1)
+    return block @ block.conj().swapaxes(-1, -2)

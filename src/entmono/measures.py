@@ -56,21 +56,21 @@ def eof_from_squared_concurrence(x):
     return float(h) if np.ndim(x) == 0 else h
 
 
-def _entropy(rho) -> float:
-    """Von Neumann entropy in bits of a trusted Hermitian matrix."""
-    lam = np.clip(np.linalg.eigvalsh(rho)[::-1], 0.0, 1.0)
-    return float(-(xlogy(lam, lam)).sum() / np.log(2.0) + 0.0)
+def _entropy(rho) -> np.ndarray:
+    """Von Neumann entropies in bits of trusted Hermitian matrices stacked (S, d, d)."""
+    lam = np.clip(np.linalg.eigvalsh(rho)[..., ::-1], 0.0, 1.0)
+    return -(xlogy(lam, lam)).sum(axis=-1) / np.log(2.0) + 0.0
 
 
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy in bits, with eigenvalues clamped to [0, 1]."""
-    return _entropy(_as_hermitian(rho))
+    return float(_entropy(_as_hermitian(rho)[None])[0])
 
 
-def _purity_concurrence(rho_a) -> float:
-    """sqrt(2 * (1 - Tr rho_A^2)) for a trusted reduced state rho_A."""
-    purity = min(1.0, np.trace(rho_a @ rho_a).real)
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity))))
+def _purity_concurrence(rho_a) -> np.ndarray:
+    """sqrt(2 * (1 - Tr rho_A^2)) for trusted reduced states stacked (S, d, d)."""
+    purity = np.minimum(1.0, np.trace(rho_a @ rho_a, axis1=-2, axis2=-1).real)
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - purity)))
 
 
 def concurrence_pure(psi, cut) -> float:
@@ -80,22 +80,22 @@ def concurrence_pure(psi, cut) -> float:
     value is sqrt(2 * (1 - Tr rho_A^2)) and exceeds 1 only on cuts whose
     smaller side has more than one qubit.
     """
-    return _purity_concurrence(reduced_state(psi, cut))
+    return float(_purity_concurrence(reduced_state(psi, cut)[None])[0])
 
 
 def eof_pure(psi, cut) -> float:
     """Entanglement of formation of a pure state across a bipartition, in bits."""
-    return _entropy(reduced_state(psi, cut))
+    return float(_entropy(reduced_state(psi, cut)[None])[0])
 
 
-def _wootters(rho) -> float:
-    """Wootters concurrence of a trusted two-qubit density matrix."""
+def _wootters(rho) -> np.ndarray:
+    """Wootters concurrences of trusted two-qubit density matrices stacked (..., 4, 4)."""
     lam, vec = np.linalg.eigh(rho)
-    cols = vec * np.sqrt(np.clip(lam, 0.0, None))
+    cols = vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
     # singular values of this symmetric matrix equal the sqrt-eigenvalues of
     # rho (sy x sy) rho* (sy x sy); the svd route keeps them real and sorted
-    mu = np.linalg.svd(cols.T @ _SPIN_FLIP @ cols, compute_uv=False)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    mu = np.linalg.svd(cols.swapaxes(-1, -2) @ _SPIN_FLIP @ cols, compute_uv=False)
+    return np.maximum(0.0, mu[..., 0] - mu[..., 1] - mu[..., 2] - mu[..., 3])
 
 
 def _two_qubit_density(rho, caller: str) -> np.ndarray:
@@ -107,7 +107,7 @@ def _two_qubit_density(rho, caller: str) -> np.ndarray:
 
 def wootters_concurrence(rho) -> float:
     """Closed-form concurrence of a two-qubit density matrix."""
-    return _wootters(_two_qubit_density(rho, "wootters_concurrence"))
+    return float(_wootters(_two_qubit_density(rho, "wootters_concurrence")[None])[0])
 
 
 def eof_two_qubit_mixed(rho) -> float:

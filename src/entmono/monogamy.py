@@ -254,24 +254,36 @@ class BoundReport:
 def profile(psi, partition: PartitionSpec | None = None) -> PairwiseProfile:
     """Measure everything the bound evaluators need from a pure state.
 
-    The state and the partition are validated here, once; the measures are
-    then taken with the trusted kernels behind the public measure functions.
+    The state and the partition are validated here, once; the state is then
+    profiled as a batch of one by profile_batch.
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
-    if n < 3:
-        raise ValueError("monogamy profiles need at least three qubits")
     part = partition if partition is not None else PartitionSpec.default(n)
     part.validate(n)
+    return profile_batch(vec[None], part)[0]
 
+
+def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> list:
+    """Profiles of trusted pure states stacked (S, 2**n), one per row.
+
+    part must already be validated for n qubits. Each quantity is taken
+    for the whole block at once: one rho_A per row gives both C(A|rest) and
+    E(A|rest), and the (focus, b) pair reductions go through one stacked
+    Wootters solve.
+    """
+    n = vecs.shape[1].bit_length() - 1
     focus = part.focus
-    rho_a = _reduce(vec, (focus,), n)
-    c_pair = tuple(_wootters(_reduce(vec, tuple(sorted((focus, b))), n)) for b in part.rest)
-    e_pair = tuple(eof_from_squared_concurrence(np.square(c_pair)).tolist())
+    rho_a = _reduce(vecs, (focus,), n)
+    rho_pairs = np.stack([_reduce(vecs, tuple(sorted((focus, b))), n) for b in part.rest],
+                         axis=1)
+    c_pair = _wootters(rho_pairs)
+    e_pair = eof_from_squared_concurrence(np.square(c_pair))
     # only the last tail (one remaining party) is a two-qubit reduction
-    c_tail = tuple([None] * (n - 3) + [c_pair[-1]])
-    return PairwiseProfile(n, _purity_concurrence(rho_a), c_pair, c_tail,
-                           _entropy(rho_a), e_pair)
+    deep_tails = (None,) * (n - 3)
+    return [PairwiseProfile(n, cf, tuple(cp), deep_tails + (cp[-1],), ef, tuple(ep))
+            for cf, cp, ef, ep in zip(_purity_concurrence(rho_a).tolist(), c_pair.tolist(),
+                                      _entropy(rho_a).tolist(), e_pair.tolist())]
 
 
 def bound_coefficients(kind_id, alpha: float, num_parties: int,
@@ -432,6 +444,7 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
     grid = tuple(float(a) for a in alphas)
     if not grid:
         raise ValueError("empty alpha grid")
+    check_split_index((tightened, baseline), m)
     tight_id, base_id = BoundId(tightened), BoundId(baseline)
     y1, y2 = [], []
     app1 = app2 = None

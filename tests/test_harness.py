@@ -1,11 +1,12 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entmono import harness
+from entmono import harness, monogamy
 from entmono.harness import (
     CampaignConfig,
     alpha_grid,
@@ -15,8 +16,12 @@ from entmono.harness import (
     run_campaign,
     save_state_file,
 )
+from entmono.linalg import as_state_vector
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
 from entmono.states import SeededSampler, basis_state, random_mixed, w_state
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write_json(path, payload):
@@ -156,6 +161,43 @@ def test_run_campaign_json_is_deterministic():
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize("budget", [
+    1,             # one sample per block at every qubit count
+    3 * 16 * 8,    # blocks of 3 at three qubits: 7 samples end in a short block
+    3 * 16 * 16,   # blocks of 6 at three qubits and 3 at four
+])
+def test_run_campaign_block_size_changes_nothing(budget, monkeypatch):
+    config = CampaignConfig(
+        samples=7,
+        qubit_counts=(3, 4),
+        kinds=(BoundKind(BoundId.CKW, 2.0), BoundKind(BoundId.TIGHT_ORDERED, 2.5),
+               BoundKind(BoundId.UPPER_MEAN, -1.0), BoundKind(BoundId.EOF_ALPHA_POWER, 2.0)),
+        seed=11,
+    )
+    expected = run_campaign(config).to_json()
+    monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+    assert run_campaign(config).to_json() == expected
+
+
+def test_cli_verify_matches_recorded_report(tmp_path):
+    # recorded with the per-sample engine before campaigns were profiled in
+    # blocks; slack is compared within 1e-12 so another BLAS cannot fail it
+    golden = json.loads((DATA / "verify-default-q3-5-seed13.json").read_text())
+    out = tmp_path / "r.json"
+    assert main(["verify", "--samples", "200", "--qubits", "3,5", "--seed", "13",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {k: v for k, v in report.items() if k != "rows"} == \
+        {k: v for k, v in golden.items() if k != "rows"}
+    assert len(report["rows"]) == len(golden["rows"])
+    for row, want in zip(report["rows"], golden["rows"]):
+        slack, want_slack = row.pop("worst_slack"), want.pop("worst_slack")
+        assert row == want
+        assert (slack is None) == (want_slack is None)
+        if slack is not None:
+            assert abs(slack - want_slack) <= 1e-12, (row, slack, want_slack)
+
+
 def test_cli_example_golden_values(tmp_path, capsys):
     out = tmp_path / "ex1.csv"
     assert main(["example", "--id", "1", "--out", str(out)]) == 0
@@ -252,6 +294,33 @@ def test_cli_measure_partition_flags(tmp_path):
     data = json.loads(out.read_text())
     assert data["partition"] == {"focus": 2, "rest": [1, 0]}
     assert main(["measure", "--state", str(state), "--focus", "3"]) == 2
+
+
+def test_cli_measure_and_sweep_check_a_loaded_state_once(tmp_path, monkeypatch, capsys):
+    checked = []
+
+    def counting(psi):
+        checked.append(1)
+        return as_state_vector(psi)
+
+    monkeypatch.setattr(harness, "as_state_vector", counting)
+    monkeypatch.setattr(monogamy, "as_state_vector", counting)
+    state = tmp_path / "w4.json"
+    save_state_file(str(state), amplitudes=w_state(4))
+    checked.clear()
+    assert main(["measure", "--state", str(state), "--out", str(tmp_path / "m.json")]) == 0
+    assert main(["sweep", "--state", str(state), "--bound", "tight-ordered",
+                 "--baseline", "alpha-power", "--alpha-min", "2", "--alpha-max", "3",
+                 "--alpha-step", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(checked) == 2  # once per file load, never again in profiling
+
+    bell = tmp_path / "bell.json"
+    save_state_file(str(bell), amplitudes=np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    capsys.readouterr()
+    assert main(["measure", "--state", str(bell)]) == 2
+    assert main(["sweep", "--state", str(bell), "--bound", "ckw", "--baseline", "ckw",
+                 "--alpha-min", "2", "--alpha-max", "2", "--alpha-step", "1"]) == 2
+    assert capsys.readouterr().err.count("at least three parties") == 2
 
 
 def test_cli_verify_round_trip(tmp_path):

@@ -20,6 +20,7 @@ from entmono.monogamy import (
     evaluate,
     family_kinds,
     profile,
+    profile_batch,
     residual_sweep,
 )
 from entmono.states import SeededSampler, basis_state, generalized_schmidt, ghz_state, w_state
@@ -86,12 +87,14 @@ def test_profile_tail_availability():
 
 @pytest.mark.parametrize("n, partition", [
     (3, None), (4, None), (5, None), (8, None), (5, PartitionSpec(3, (1, 4, 0, 2))),
+    (12, None),
 ])
 def test_profile_matches_public_measures(n, partition):
-    # profile calls the trusted kernels directly; it must agree exactly with
-    # the validated public functions built on the same kernels
-    for i in range(6):
-        psi = campaign_state(21, n, i)
+    # profile runs the batch kernels on a batch of one; it must agree exactly
+    # with the validated public functions built on the same kernels. GHZ has
+    # every pair concurrence zero, W has them all equal.
+    states = [campaign_state(21, n, i) for i in range(6)] + [ghz_state(n), w_state(n)]
+    for psi in states:
         prof = profile(psi, partition)
         part = partition or PartitionSpec.default(n)
         assert prof.c_focus_rest == concurrence_pure(psi, (part.focus,))
@@ -101,6 +104,15 @@ def test_profile_matches_public_measures(n, partition):
         assert prof.c_pair == pairs
         assert prof.e_pair == tuple(eof_from_squared_concurrence(c * c) for c in pairs)
         assert prof.c_tail == (None,) * (n - 3) + (pairs[-1],)
+
+
+@pytest.mark.parametrize("n, partition", [
+    (3, None), (5, PartitionSpec(3, (1, 4, 0, 2))), (12, PartitionSpec(11, tuple(range(11)))),
+])
+def test_profile_batch_equals_profile_per_row(n, partition):
+    block = [campaign_state(4, n, i) for i in range(5)] + [ghz_state(n), w_state(n)]
+    part = partition or PartitionSpec.default(n)
+    assert profile_batch(np.stack(block), part) == [profile(v, partition) for v in block]
 
 
 def test_profile_validates_only_at_the_boundary():
@@ -394,6 +406,15 @@ def test_residual_sweep_validates_grid():
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, ())
     with pytest.raises(ValueError):
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (1.5,))
+
+
+def test_residual_sweep_rejects_an_unused_split_index():
+    prof = profile(w_state(3))
+    with pytest.raises(ValueError, match="unused"):
+        residual_sweep(prof, "ckw", "alpha-power", [2.0], m=5)
+    sweep = residual_sweep(profile(campaign_state(0, 5, 0)), "tight-split", "alpha-power",
+                           [2.0, 2.5], m=1)
+    assert len(sweep.y1) == 2
 
 
 def test_residual_sweep_reports_inapplicability():
