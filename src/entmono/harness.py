@@ -20,6 +20,7 @@ value in a report.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,14 +30,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .linalg import MAX_QUBITS, as_density_matrix, as_state_vector, num_qubits_of, partial_trace
-from .measures import eof_from_squared_concurrence, wootters_concurrence
+from .measures import _wootters, eof_from_squared_concurrence
 from .monogamy import (
     ALPHA_MIN_EOF,
+    FAILS,
+    HOLDS,
     STRICT_SLACK_FLOOR,
+    UNDECIDED,
     BoundId,
     PartitionSpec,
     check_split_index,
-    evaluate,
+    evaluate_block,
     family_kinds,
     profile,
     profile_batch,
@@ -236,25 +240,25 @@ def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
 
 
-def _tally(row: CampaignRow, report, sample_index: int, tolerance: float) -> None:
-    row.total += 1
-    if report.applicable is None:
-        row.indeterminate += 1
-        return
-    if report.applicable is False:
-        row.not_applicable += 1
-        return
-    row.applicable += 1
+def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
+    """Count one block of verdicts at one power into row; its samples start at index start."""
+    codes, slack, strict = verdicts.applicable[:, 0], verdicts.slack[:, 0], verdicts.strict[:, 0]
+    holds = codes == HOLDS
     # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
-    floor = STRICT_SLACK_FLOOR if report.strict else -tolerance
-    if report.slack < floor:
-        row.failed += 1
-        row.failures.append({"sample_index": sample_index, "slack": report.slack})
-    else:
-        row.passed += 1
-    if row.worst_slack is None or report.slack < row.worst_slack:
-        row.worst_slack = report.slack
-        row.worst_sample = sample_index
+    fails = holds & (slack < np.where(strict, STRICT_SLACK_FLOOR, -tolerance))
+    row.total += len(codes)
+    row.indeterminate += int(np.count_nonzero(codes == UNDECIDED))
+    row.not_applicable += int(np.count_nonzero(codes == FAILS))
+    row.applicable += int(np.count_nonzero(holds))
+    row.failed += int(np.count_nonzero(fails))
+    row.passed += int(np.count_nonzero(holds & ~fails))
+    row.failures.extend({"sample_index": start + int(j), "slack": float(slack[j])}
+                        for j in np.flatnonzero(fails))
+    if holds.any():
+        candidates = np.flatnonzero(holds)
+        j = candidates[np.argmin(slack[candidates])]  # the first of equal minima
+        if row.worst_slack is None or slack[j] < row.worst_slack:  # earlier blocks win ties
+            row.worst_slack, row.worst_sample = float(slack[j]), start + int(j)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -269,11 +273,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         part = PartitionSpec.default(n)
         size = max(1, BLOCK_BYTES // (2 ** n * 16))
         for start in range(0, config.samples, size):
-            block = range(start, min(start + size, config.samples))
-            vecs = np.stack([campaign_state(config.seed, n, i) for i in block])
-            for i, prof in zip(block, profile_batch(vecs, part)):
-                for kind, row in fitting:
-                    _tally(row, evaluate(prof, kind), i, config.tolerance)
+            stop = min(start + size, config.samples)
+            vecs = np.stack([campaign_state(config.seed, n, i) for i in range(start, stop)])
+            block = profile_batch(vecs, part)
+            for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
+                _tally(row, verdicts, start, config.tolerance)
         rows.extend(row for _, row in fitting)
     stats = {
         "profiles": config.samples * len({r.qubits for r in rows}),
@@ -317,6 +321,8 @@ def cmd_example(args) -> int:
     print(f"# {sweep.tightened.value} vs {sweep.baseline.value}: "
           f"{len(grid)} grid points in [{grid[0]:.6g}, {grid[-1]:.6g}], "
           f"applicable={sweep.applicable_tightened}", file=sys.stderr)
+    print(f"# {sweep.tightened.value} is applicable at {sweep.points_applicable_tightened} "
+          f"of {len(grid)} grid points", file=sys.stderr)
     _write_text(args.out, sweep.to_csv())
     return 0
 
@@ -396,7 +402,7 @@ def cmd_measure(args) -> int:
     part.validate(loaded.num_qubits)
     pure = _as_pure(loaded)
     if pure is not None:
-        prof = profile_batch(pure[None], part)[0]
+        prof = profile_batch(pure[None], part).rows()[0]
         focus = (prof.c_focus_rest, prof.e_focus_rest)
         pairs = (list(prof.c_pair), list(prof.e_pair))
         tails = list(prof.c_tail)
@@ -404,9 +410,10 @@ def cmd_measure(args) -> int:
                 if None in tails else "")
     else:
         rho = loaded.density_matrix
-        c_pair = [wootters_concurrence(partial_trace(rho, (part.focus, b))) for b in part.rest]
+        # rho was checked on loading, so its pair reductions go to one stacked solve
+        c_pair = _wootters(np.stack([partial_trace(rho, (part.focus, b)) for b in part.rest]))
         focus = (None, None)
-        pairs = (c_pair, eof_from_squared_concurrence(np.square(c_pair)).tolist())
+        pairs = (c_pair.tolist(), eof_from_squared_concurrence(np.square(c_pair)).tolist())
         tails = [None] * (loaded.num_qubits - 2)
         note = "mixed input: only pairwise closed forms are available"
     payload = {
@@ -430,7 +437,7 @@ def cmd_sweep(args) -> int:
     part = _partition_from_args(args, loaded.num_qubits)
     part.validate(loaded.num_qubits)
     grid = _grid_from_args(args, None)
-    prof = profile_batch(pure[None], part)[0]
+    prof = profile_batch(pure[None], part).rows()[0]
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)
     if sweep.applicable_tightened is not True:
         print(f"# warning: {sweep.tightened.value} applicability is "
@@ -458,6 +465,7 @@ def _int_list(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entmono",

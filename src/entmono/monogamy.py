@@ -34,6 +34,32 @@ holds: lhs - rhs for lower bounds, rhs - lhs for upper bounds.
 Applicability is three-valued: False when a stated condition fails, None
 when a condition needs a tail concurrence that has no closed form (a
 mixed reduction with two or more remaining parties), True otherwise.
+
+One kernel, _evaluate_batch, evaluates every bound: one family at one
+split index on a ProfileBlock of S profiles and A powers, returning
+(S, A) arrays of lhs, rhs, slack, applicability and the strict flag.
+Ordering conditions depend on the shape and split index only, so _decide
+settles them once per block as (S, N-2) verdicts that every power, and
+every family of the shape, shares. residual_sweep runs the kernel once
+per bound over its whole grid, the campaign once per kind over a block of
+samples, and evaluate on a batch of one. Each row is bit-identical to a
+batch of one, and to scalar arithmetic on that row, because the kernel
+keeps four rules:
+
+  dot product   rhs = coeffs . values^a is a stack of 1-D dot products,
+                (coeffs[:, None, :] @ powered[:, :, None])[:, 0, 0], which
+                is the same FMA chain as a 1-D coeffs @ values; V @ c,
+                np.dot, einsum and np.matvec sum in other orders
+  lhs           a Python-float power per element (libm pow), and an
+                np.float64 scalar power for the upper families, never an
+                array power, whose vectorised pow rounds differently
+  exponent      each power is raised as a Python scalar, one call per grid
+                point, so a = 2.0 takes numpy's exact squaring; an array
+                of exponents rounds differently
+  dropped pairs an upper family sums only the retained terms of a row
+                with a dropped pair, apart from the full rows: numpy's
+                pairwise sum groups eight or more terms by their count, so
+                padding with zeros would regroup it
 """
 
 import math
@@ -51,6 +77,10 @@ DROP_ATOL = 1e-12
 STRICT_PAIR_FLOOR = 1e-6
 STRICT_SLACK_FLOOR = 1e-14
 POWER_ATOL = 1e-12
+
+# three-valued verdicts, ordered so that folding several is their min
+FAILS, UNDECIDED, HOLDS = 0, 1, 2
+_VERDICT = (False, None, True)
 
 ALPHA_MIN_CONCURRENCE = 2.0
 ALPHA_MIN_EOF = math.sqrt(2.0)
@@ -216,6 +246,33 @@ class PairwiseProfile:
     e_pair: tuple
 
 
+class ProfileBlock(NamedTuple):
+    """Profiles of S states as arrays, one row per state.
+
+    c_pair[s, i] and e_pair[s, i] refer to the pair (A, B_{i+1}) of row s.
+    """
+
+    c_focus: np.ndarray  # (S,) C(A|rest)
+    c_pair: np.ndarray   # (S, N-1)
+    e_focus: np.ndarray  # (S,) E(A|rest)
+    e_pair: np.ndarray   # (S, N-1)
+
+    @classmethod
+    def of(cls, prof: PairwiseProfile) -> "ProfileBlock":
+        """A block of one profile."""
+        return cls(np.array([prof.c_focus_rest]), np.array([prof.c_pair]),
+                   np.array([prof.e_focus_rest]), np.array([prof.e_pair]))
+
+    def rows(self) -> list:
+        """One PairwiseProfile per row."""
+        n = self.c_pair.shape[1] + 1
+        tails = [tuple(None if math.isnan(t) else t for t in row)
+                 for row in _tails(self.c_pair).tolist()]
+        return [PairwiseProfile(n, cf, tuple(cp), ct, ef, tuple(ep))
+                for cf, cp, ct, ef, ep in zip(self.c_focus.tolist(), self.c_pair.tolist(), tails,
+                                              self.e_focus.tolist(), self.e_pair.tolist())]
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """One ordering condition C(A,B_i) vs C(A|B_{i+1}..), i starting at 1."""
@@ -261,10 +318,10 @@ def profile(psi, partition: PartitionSpec | None = None) -> PairwiseProfile:
     n = num_qubits_of(vec.shape[0])
     part = partition if partition is not None else PartitionSpec.default(n)
     part.validate(n)
-    return profile_batch(vec[None], part)[0]
+    return profile_batch(vec[None], part).rows()[0]
 
 
-def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> list:
+def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> ProfileBlock:
     """Profiles of trusted pure states stacked (S, 2**n), one per row.
 
     part must already be validated for n qubits. Each quantity is taken
@@ -279,11 +336,17 @@ def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> list:
                          axis=1)
     c_pair = _wootters(rho_pairs)
     e_pair = eof_from_squared_concurrence(np.square(c_pair))
-    # only the last tail (one remaining party) is a two-qubit reduction
-    deep_tails = (None,) * (n - 3)
-    return [PairwiseProfile(n, cf, tuple(cp), deep_tails + (cp[-1],), ef, tuple(ep))
-            for cf, cp, ef, ep in zip(_purity_concurrence(rho_a).tolist(), c_pair.tolist(),
-                                      _entropy(rho_a).tolist(), e_pair.tolist())]
+    return ProfileBlock(_purity_concurrence(rho_a), c_pair, _entropy(rho_a), e_pair)
+
+
+def _tails(c_pair: np.ndarray) -> np.ndarray:
+    """C(A|B_{i+2}..B_{N-1}) for i = 0..N-3 per row, NaN where it has no closed form.
+
+    Only the last tail, where one party remains, is a two-qubit reduction.
+    """
+    tails = np.full((len(c_pair), c_pair.shape[1] - 1), np.nan)
+    tails[:, -1] = c_pair[:, -1]
+    return tails
 
 
 def bound_coefficients(kind_id, alpha: float, num_parties: int,
@@ -318,93 +381,182 @@ def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.nd
     return coeffs
 
 
-def _conditions(prof: PairwiseProfile, relations) -> tuple:
-    checks = []
-    for i, rel in relations:
-        pair = prof.c_pair[i - 1]
-        tail = prof.c_tail[i - 1]
-        if tail is None:
-            ok = None
-        elif rel == ">=":
-            ok = bool(pair >= tail - COMPARISON_ATOL)
-        else:
-            ok = bool(pair <= tail + COMPARISON_ATOL)
-        checks.append(ConditionCheck(i, pair, tail, rel, ok))
-    return tuple(checks)
-
-
-def _applicability(checks) -> bool | None:
-    if any(c.satisfied is False for c in checks):
-        return False
-    if any(c.satisfied is None for c in checks):
-        return None
-    return True
-
-
-def _split_relations(num_parties: int, m: int):
-    ups = [(i, ">=") for i in range(1, m + 1)]
-    downs = [(j, "<=") for j in range(m + 1, num_parties - 1)]
-    return ups + downs
-
-
-def _resolve_conditions(prof: PairwiseProfile, shape: str, m: int | None):
-    """Ordering conditions and the split index actually used."""
-    n = prof.num_parties
-    if shape == "unit":
-        return (), None
+def _relations(shape: str, num_parties: int, m: int | None) -> tuple:
+    """The relation of each ordering condition i = 1..N-2 of a shape at split index m."""
     if shape == "ordered":
-        return _conditions(prof, [(i, ">=") for i in range(1, n - 1)]), None
-    if m is not None:
-        return _conditions(prof, _split_relations(n, m)), m
-    # prefer the largest m whose decidable conditions do not fail
-    fallback = None
-    for m in range(n - 3, 0, -1):
-        checks = _conditions(prof, _split_relations(n, m))
-        if _applicability(checks) is not False:
-            return checks, m
-        if fallback is None:
-            fallback = (checks, m)
-    return fallback
+        return (">=",) * (num_parties - 2)
+    return (">=",) * m + ("<=",) * (num_parties - 2 - m)
+
+
+class _Decision(NamedTuple):
+    """The ordering conditions of one shape and split index on a block of profiles."""
+
+    verdicts: np.ndarray    # (S, N-2) per condition i = 1..N-2; (S, 0) for shapes without
+    applicable: np.ndarray  # (S,) the verdicts folded
+    m_used: np.ndarray | None  # (S,) the split index each row uses; None unless split
+
+
+def _fold(verdicts: np.ndarray) -> np.ndarray:
+    """Fails if any verdict fails, else undecided if any is, else holds (a min)."""
+    return verdicts.min(axis=-1, initial=HOLDS)
+
+
+def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
+    """Decide a shape's ordering conditions on (S, N-1) pair concurrences.
+
+    Conditions involve concurrences only, never the power, so one decision
+    serves every power and every family of the shape.
+    """
+    s, k = c_pair.shape
+    if shape not in ("ordered", "split"):
+        return _Decision(np.empty((s, 0), int), np.full(s, HOLDS), None)
+    tails = _tails(c_pair)
+    pairs = c_pair[:, :-1]
+    undecided = np.isnan(tails)
+    ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - COMPARISON_ATOL, HOLDS, FAILS))
+    le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
+
+    def verdicts_at(m_: int | None) -> np.ndarray:
+        return np.where(np.array(_relations(shape, k + 1, m_)) == ">=", ge, le)
+
+    if shape == "ordered":
+        verdicts = verdicts_at(None)
+        return _Decision(verdicts, _fold(verdicts), None)
+    # a free split index prefers the largest m whose decided conditions do
+    # not fail; a row where every m fails falls back to the largest
+    first = k - 2 if m is None else m
+    verdicts = verdicts_at(first)
+    applicable = _fold(verdicts)
+    m_used = np.full(s, first)
+    chosen = applicable != FAILS
+    smaller = range(first - 1, 0, -1) if m is None else ()
+    for m_ in smaller:
+        at_m = verdicts_at(m_)
+        folded = _fold(at_m)
+        take = ~chosen & (folded != FAILS)
+        verdicts[take], applicable[take], m_used[take] = at_m[take], folded[take], m_
+        chosen |= take
+    return _Decision(verdicts, applicable, m_used)
+
+
+class Verdicts(NamedTuple):
+    """One bound family evaluated on S profiles at A powers.
+
+    slack is lhs - rhs for lower bounds and rhs - lhs for upper bounds, and
+    NaN where an upper bound is not verifiable. strict marks upper-bound
+    verdicts that must clear a positive floor.
+    """
+
+    lhs: np.ndarray         # (S, A)
+    rhs: np.ndarray         # (S, A)
+    slack: np.ndarray       # (S, A)
+    applicable: np.ndarray  # (S, A) verdict codes
+    strict: np.ndarray      # (S, A) bool
+    dropped: np.ndarray     # (S, N-1) bool: pairs an upper bound leaves out
+    decision: _Decision
+
+
+def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
+                    alphas) -> Verdicts:
+    """Evaluate one family, with its conditions decided, on a block at each power.
+
+    Each row is bit-identical to a batch of one; the module docstring gives
+    the rules that keep it so.
+    """
+    if family.shape in ("mean", "sum"):
+        return _evaluate_upper(block, family.shape == "mean", decision, alphas)
+    base, values = ((block.e_focus, block.e_pair) if family.measure == "E"
+                    else (block.c_focus, block.c_pair))
+    base = base.tolist()
+    s, k = values.shape
+    splits = ([(None, slice(None))] if decision.m_used is None else
+              [(int(m), decision.m_used == m) for m in np.unique(decision.m_used)])
+    lhs = np.empty((s, len(alphas)))
+    rhs = np.empty((s, len(alphas)))
+    coeffs = np.empty((s, k))
+    for j, alpha in enumerate(alphas):
+        lhs[:, j] = [b ** alpha for b in base]
+        for m, rows in splits:
+            coeffs[rows] = _coefficients(family, alpha, k, m)
+        # a stack of 1-D dot products: the same FMA chain as coeffs @ values
+        rhs[:, j] = (coeffs[:, None, :] @ (values ** alpha)[:, :, None])[:, 0, 0]
+    applicable = np.repeat(decision.applicable[:, None], len(alphas), axis=1)
+    return Verdicts(lhs, rhs, lhs - rhs, applicable, np.zeros_like(lhs, bool),
+                    np.zeros((s, k), bool), decision)
+
+
+def _evaluate_upper(block: ProfileBlock, mean: bool, decision: _Decision, alphas) -> Verdicts:
+    c_focus, c_pair = block.c_focus, block.c_pair
+    s, k = c_pair.shape
+    dropped = c_pair <= DROP_ATOL
+    retained = k - dropped.sum(axis=1)
+    # a negative power of a zero concurrence is undefined
+    valid = np.flatnonzero((retained > 0) & (c_focus > DROP_ATOL))
+    whole = valid[retained[valid] == k]
+    # rows with a dropped pair sum their retained terms alone: a padded sum
+    # of eight or more terms would group them differently
+    partial = [(r, c_pair[r, ~dropped[r]]) for r in valid[retained[valid] < k]]
+    focus = c_focus[valid].tolist()
+    lhs = np.full((s, len(alphas)), np.nan)
+    rhs = np.full((s, len(alphas)), np.nan)
+    with np.errstate(over="ignore"):  # an overflow to inf is not verifiable, below
+        for j, alpha in enumerate(alphas):
+            lhs[valid, j] = [np.float64(c) ** alpha for c in focus]
+            rhs[whole, j] = (c_pair[whole] ** alpha).sum(axis=1)
+            for r, terms in partial:
+                rhs[r, j] = (terms ** alpha).sum()
+    if mean:
+        rhs /= retained[:, None]
+    ok = np.isfinite(lhs) & np.isfinite(rhs)
+    slack = np.full_like(lhs, np.nan)
+    slack[ok] = rhs[ok] - lhs[ok]
+    strict = ok & ((retained == k) & (c_pair.min(axis=1) > STRICT_PAIR_FLOOR))[:, None]
+    return Verdicts(lhs, rhs, slack, np.where(ok, HOLDS, FAILS), strict, dropped, decision)
+
+
+def evaluate_block(block: ProfileBlock, kinds) -> list:
+    """Verdicts of each kind at its one power on a block of profiles.
+
+    Every kind must fit the block's party count. Kinds of one shape and
+    split index share one decision of their ordering conditions.
+    """
+    decisions = {}
+    verdicts = []
+    for kind in kinds:
+        family = _FAMILIES[kind.id]
+        key = (family.shape, kind.m)
+        if key not in decisions:
+            decisions[key] = _decide(block.c_pair, *key)
+        verdicts.append(_evaluate_batch(block, family, decisions[key], (kind.alpha,)))
+    return verdicts
 
 
 def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
     """Evaluate one bound against a profile, reporting slack and verdict."""
     family = _family_at(kind, prof.num_parties)
+    block = ProfileBlock.of(prof)
+    v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m),
+                        (kind.alpha,))
+    lhs, rhs, slack = float(v.lhs[0, 0]), float(v.rhs[0, 0]), float(v.slack[0, 0])
+    applicable = _VERDICT[v.applicable[0, 0]]
     if family.shape in ("mean", "sum"):
-        return _evaluate_upper(prof, kind, family.shape == "mean")
-    lhs_base, values = ((prof.e_focus_rest, prof.e_pair) if family.measure == "E"
-                        else (prof.c_focus_rest, prof.c_pair))
-    checks, m_used = _resolve_conditions(prof, family.shape, kind.m)
-    coeffs = _coefficients(family, kind.alpha, prof.num_parties - 1, m_used)
-    lhs = float(lhs_base ** kind.alpha)
-    rhs = float(coeffs @ np.asarray(values) ** kind.alpha)
-    return BoundReport(
-        kind=kind, direction="lower", lhs=lhs, rhs=rhs, slack=lhs - rhs,
-        applicable=_applicability(checks), conditions=checks, m_used=m_used,
-    )
-
-
-def _evaluate_upper(prof: PairwiseProfile, kind: BoundKind, mean: bool) -> BoundReport:
-    nan = float("nan")
-    retained = [i for i, c in enumerate(prof.c_pair) if c > DROP_ATOL]
-    dropped = tuple(i for i in range(len(prof.c_pair)) if i not in retained)
-    if not retained:
-        return BoundReport(kind, "upper", nan, nan, nan, False, dropped_pairs=dropped,
-                           note="every pairwise concurrence is zero")
-    if prof.c_focus_rest <= DROP_ATOL:
-        return BoundReport(kind, "upper", nan, nan, nan, False, dropped_pairs=dropped,
-                           note="focus-rest concurrence is zero; negative power undefined")
-    with np.errstate(over="ignore"):  # an overflow to inf is reported below
-        lhs = float(np.float64(prof.c_focus_rest) ** kind.alpha)
-        rhs = float((np.asarray([prof.c_pair[i] for i in retained]) ** kind.alpha).sum())
-    if mean:
-        rhs /= len(retained)
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        return BoundReport(kind, "upper", lhs, rhs, nan, False, dropped_pairs=dropped,
-                           note="negative power overflow; bound not verifiable numerically")
-    strict = not dropped and min(prof.c_pair) > STRICT_PAIR_FLOOR
-    return BoundReport(kind, "upper", lhs, rhs, rhs - lhs, True,
-                       dropped_pairs=dropped, strict=strict)
+        note = ""
+        if applicable is False:
+            note = ("every pairwise concurrence is zero" if v.dropped[0].all() else
+                    "focus-rest concurrence is zero; negative power undefined"
+                    if math.isnan(lhs) else
+                    "negative power overflow; bound not verifiable numerically")
+        return BoundReport(kind, "upper", lhs, rhs, slack, applicable,
+                           dropped_pairs=tuple(np.flatnonzero(v.dropped[0]).tolist()),
+                           strict=bool(v.strict[0, 0]), note=note)
+    m_used = None if v.decision.m_used is None else int(v.decision.m_used[0])
+    relations = (() if family.shape == "unit" else
+                 _relations(family.shape, prof.num_parties, m_used))
+    checks = tuple(ConditionCheck(i, prof.c_pair[i - 1], prof.c_tail[i - 1], rel,
+                                  _VERDICT[code])
+                   for i, (rel, code) in enumerate(zip(relations, v.decision.verdicts[0]), 1))
+    return BoundReport(kind, "lower", lhs, rhs, slack, applicable, conditions=checks,
+                       m_used=m_used)
 
 
 @dataclass(frozen=True)
@@ -415,7 +567,9 @@ class AlphaSweep:
     bounds a tighter right-hand side pushes y1 below y2; for the
     negative-power upper bounds the tighter (smaller) right-hand side
     pulls y1 above y2. Both curves meet where the coefficient families
-    coincide (alpha = 2, or alpha = sqrt(2) for EoF kinds).
+    coincide (alpha = 2, or alpha = sqrt(2) for EoF kinds). Applicability
+    is folded over the grid: False if any point fails, else None if any
+    is undecided, else True.
     """
 
     alphas: tuple
@@ -425,6 +579,7 @@ class AlphaSweep:
     baseline: BoundId
     applicable_tightened: bool | None
     applicable_baseline: bool | None
+    points_applicable_tightened: int
 
     def to_csv(self) -> str:
         lines = ["alpha,y1,y2"]
@@ -438,22 +593,27 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
     """Evaluate a tightened/baseline bound pair across an alpha grid.
 
     Every grid point must be valid for both bound families. Ordering
-    conditions do not involve alpha, so applicability is constant along
-    the sweep and reported once per bound.
+    conditions do not involve alpha and are decided once per bound; an
+    overflowing negative power makes an upper bound's applicability vary
+    along the grid.
     """
     grid = tuple(float(a) for a in alphas)
     if not grid:
         raise ValueError("empty alpha grid")
     check_split_index((tightened, baseline), m)
-    tight_id, base_id = BoundId(tightened), BoundId(baseline)
-    y1, y2 = [], []
-    app1 = app2 = None
-    for idx, a in enumerate(grid):
-        kt = BoundKind(tight_id, a, _split_only(tight_id, m))
-        kb = BoundKind(base_id, a, _split_only(base_id, m))
-        rt, rb = evaluate(prof, kt), evaluate(prof, kb)
-        y1.append(rt.lhs - rt.rhs)
-        y2.append(rb.lhs - rb.rhs)
-        if idx == 0:
-            app1, app2 = rt.applicable, rb.applicable
-    return AlphaSweep(grid, tuple(y1), tuple(y2), tight_id, base_id, app1, app2)
+    ids = (BoundId(tightened), BoundId(baseline))
+    families = None
+    for a in grid:  # the power rule at every point, the fit rule at the first
+        kinds = [BoundKind(b, a, _split_only(b, m)) for b in ids]
+        families = families or [_family_at(kind, prof.num_parties) for kind in kinds]
+    block = ProfileBlock.of(prof)
+    curves, applicable = [], []
+    for bound, family in zip(ids, families):
+        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape,
+                                                   _split_only(bound, m)), grid)
+        with np.errstate(invalid="ignore"):  # inf - inf of two overflowed powers is NaN
+            curves.append(tuple((v.lhs - v.rhs)[0].tolist()))
+        applicable.append(v.applicable[0])
+    return AlphaSweep(grid, curves[0], curves[1], ids[0], ids[1],
+                      _VERDICT[_fold(applicable[0])], _VERDICT[_fold(applicable[1])],
+                      int(np.count_nonzero(applicable[0] == HOLDS)))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from entmono.harness import (
     run_campaign,
     save_state_file,
 )
-from entmono.linalg import as_state_vector
+from entmono.linalg import as_state_vector, partial_trace
+from entmono.measures import wootters_concurrence
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
 from entmono.states import SeededSampler, basis_state, random_mixed, w_state
 
@@ -233,6 +235,12 @@ def test_cli_example_grid_override(tmp_path, capsys):
                  "--alpha-step", "500", "--out", str(out)]) == 0
     assert "applicable=False" in capsys.readouterr().err
     assert len(out.read_text().strip().split("\n")) == 4
+    # only the alpha = -1 point of this grid is applicable
+    assert main(["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
+                 "--alpha-step", "799", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "applicable=False" in err
+    assert "upper-mean is applicable at 1 of 2 grid points" in err
 
 
 def test_cli_example_two_is_strictly_negative(tmp_path):
@@ -282,6 +290,43 @@ def test_cli_measure_mixed(tmp_path):
     assert data["eof"]["focus_rest"] is None
     assert len(data["concurrence"]["pairs"]) == 2
     assert "pairwise" in data["note"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cli_measure_mixed_pairs_equal_the_public_measure(n, tmp_path):
+    state = tmp_path / "mixed.json"
+    out = tmp_path / "m.json"
+    for seed in range(5):
+        rho = random_mixed(n, 2 + seed % 3, SeededSampler(seed))
+        save_state_file(str(state), density_matrix=rho)
+        assert main(["measure", "--state", str(state), "--out", str(out)]) == 0
+        pairs = json.loads(out.read_text())["concurrence"]["pairs"]
+        rho = load_state_file(str(state)).density_matrix
+        assert pairs == [wootters_concurrence(partial_trace(rho, (0, b))) for b in range(1, n)]
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    calls = [["verify", "--samples", "3", "--bound", "upper-mean"],
+             ["example", "--id", "9"],
+             ["verify", "--samples", "3", "--bound", "ckw", "--seed", "4"],
+             ["verify", "--samples", "3", "--frobnicate"],
+             ["example", "--id", "1", "--alpha-min", "2", "--alpha-max", "3",
+              "--alpha-step", "0.5"]]
+
+    def run_all():
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, re.sub(r"in [0-9.]+s", "", captured.err)))
+        return seen
+
+    assert harness.build_parser() is harness.build_parser()
+    reused = run_all()
+    monkeypatch.setattr(harness, "build_parser", harness.build_parser.__wrapped__)
+    assert run_all() == reused  # a fresh parser per call gives the same results
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0]
+    assert {row["bound"] for row in json.loads(reused[2][1])["rows"]} == {"ckw"}
 
 
 def test_cli_measure_partition_flags(tmp_path):

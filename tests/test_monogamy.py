@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import w_class_state
+
 from entmono.harness import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import reduced_state
 from entmono.measures import (
@@ -12,10 +14,14 @@ from entmono.measures import (
     wootters_concurrence,
 )
 from entmono.monogamy import (
+    _FAMILIES,
     ALPHA_MIN_EOF,
     BoundId,
     BoundKind,
     PartitionSpec,
+    ProfileBlock,
+    _decide,
+    _evaluate_batch,
     bound_coefficients,
     evaluate,
     family_kinds,
@@ -112,7 +118,40 @@ def test_profile_matches_public_measures(n, partition):
 def test_profile_batch_equals_profile_per_row(n, partition):
     block = [campaign_state(4, n, i) for i in range(5)] + [ghz_state(n), w_state(n)]
     part = partition or PartitionSpec.default(n)
-    assert profile_batch(np.stack(block), part) == [profile(v, partition) for v in block]
+    assert profile_batch(np.stack(block), part).rows() == [profile(v, partition) for v in block]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_evaluate_batch_rows_equal_batches_of_one(n):
+    # Haar states have near-zero pairs at large n, W-class states none, a
+    # spectator qubit drops one pair, GHZ drops them all, and a product focus
+    # has C(A|rest) = 0
+    states = [campaign_state(8, n, i) for i in range(3)] + [w_class_state(n, s) for s in range(3)]
+    states += [w_state(n), ghz_state(n), np.kron(w_state(n - 1), basis_state(1, 0)),
+               np.kron(basis_state(1, 0), w_state(n - 1))]
+    block = profile_batch(np.stack(states), PartitionSpec.default(n))
+    for bound, family in _FAMILIES.items():
+        if n not in family.parties:
+            continue
+        lo, hi = family.powers
+        alphas = ((2.0,) if lo == hi else (-800.0, -2.0, -1.0, -0.3) if hi == 0.0
+                  else (lo, 2.0, 2.37, 5.0))
+        pinned = range(1, n - 2) if family.shape == "split" else ()
+        for m in (None, *pinned):
+            whole = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, m), alphas)
+            for s in range(len(states)):
+                row = ProfileBlock(*(a[s:s + 1] for a in block))
+                decided = _decide(row.c_pair, family.shape, m)
+                for j, alpha in enumerate(alphas):
+                    one = _evaluate_batch(row, family, decided, (alpha,))
+                    for got, want in zip(whole[:5], one[:5]):  # lhs .. strict
+                        assert np.array_equal(got[s, j], want[0, 0], equal_nan=True), \
+                            (bound, m, s, alpha)
+                assert np.array_equal(whole.dropped[s], one.dropped[0])
+                assert np.array_equal(whole.decision.verdicts[s], decided.verdicts[0])
+                assert whole.decision.applicable[s] == decided.applicable[0]
+                if decided.m_used is not None:
+                    assert whole.decision.m_used[s] == decided.m_used[0]
 
 
 def test_profile_validates_only_at_the_boundary():
@@ -415,6 +454,22 @@ def test_residual_sweep_rejects_an_unused_split_index():
     sweep = residual_sweep(profile(campaign_state(0, 5, 0)), "tight-split", "alpha-power",
                            [2.0, 2.5], m=1)
     assert len(sweep.y1) == 2
+
+
+def test_residual_sweep_folds_applicability_over_the_grid():
+    # alpha = -800 overflows and alpha = -1 does not; the grid order must not matter
+    prof = profile(generalized_schmidt(FLAT))
+    for grid in ((-800.0, -1.0), (-1.0, -800.0)):
+        sweep = residual_sweep(prof, BoundId.UPPER_MEAN, BoundId.UPPER_SUM, grid)
+        assert sweep.applicable_tightened is False
+        assert sweep.applicable_baseline is False
+        assert sweep.points_applicable_tightened == 1
+    sweep = residual_sweep(prof, BoundId.UPPER_MEAN, BoundId.UPPER_SUM, (-2.0, -1.0))
+    assert sweep.applicable_tightened is True and sweep.points_applicable_tightened == 2
+    sweep = residual_sweep(profile(w_state(4)), BoundId.TIGHT_ORDERED, BoundId.ALPHA_POWER,
+                           (2.0, 3.0))
+    assert sweep.applicable_tightened is None and sweep.applicable_baseline is True
+    assert sweep.points_applicable_tightened == 0
 
 
 def test_residual_sweep_reports_inapplicability():
