@@ -11,19 +11,16 @@ from .linalg import (
     MAX_QUBITS,
     as_density_matrix,
     as_state_vector,
-    hermitian_eigenvalues,
     num_qubits_of,
     partial_trace,
     reduced_state,
 )
 from .measures import (
-    binary_entropy,
     concurrence_pure,
     convex_roof_upper_bound,
     eof_from_squared_concurrence,
     eof_pure,
     eof_two_qubit_mixed,
-    von_neumann_entropy,
     wootters_concurrence,
 )
 from .monogamy import (
@@ -35,7 +32,6 @@ from .monogamy import (
     BoundReport,
     PairwiseProfile,
     PartitionSpec,
-    bound_coefficients,
     evaluate,
     profile,
     residual_sweep,
@@ -49,15 +45,9 @@ from .states import (
     random_mixed,
     w_state,
 )
-from .harness import (
-    CampaignConfig,
-    CampaignResult,
-    alpha_grid,
-    campaign_state,
-    load_state_file,
-    run_campaign,
-    save_state_file,
-)
+from .engine import CampaignConfig, CampaignResult, campaign_state, run_campaign
+from .statefile import load_state_file, save_state_file
+from .harness import alpha_grid
 
 __version__ = "0.1.0"
 
@@ -78,8 +68,6 @@ __all__ = [
     "as_density_matrix",
     "as_state_vector",
     "basis_state",
-    "binary_entropy",
-    "bound_coefficients",
     "campaign_state",
     "concurrence_pure",
     "convex_roof_upper_bound",
@@ -90,7 +78,6 @@ __all__ = [
     "generalized_schmidt",
     "ghz_state",
     "haar_random_pure",
-    "hermitian_eigenvalues",
     "load_state_file",
     "num_qubits_of",
     "partial_trace",
@@ -100,7 +87,6 @@ __all__ = [
     "residual_sweep",
     "run_campaign",
     "save_state_file",
-    "von_neumann_entropy",
     "w_state",
     "wootters_concurrence",
 ]

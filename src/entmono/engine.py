@@ -1,0 +1,149 @@
+"""Monte Carlo campaign engine: sample Haar-random states, tally bound verdicts.
+
+A campaign report is reproducible byte for byte: every sample's state is
+derived from the root seed via a spawn key (campaign_state replays it), and
+the report holds only deterministic fields. Samples are profiled in blocks
+of BLOCK_BYTES of amplitudes; the block size changes no value in a report.
+"""
+
+import json
+import math
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+from .linalg import MAX_QUBITS
+from .monogamy import (FAILS, HOLDS, STRICT_SLACK_FLOOR, UNDECIDED, PartitionSpec,
+                       evaluate_block, profile_batch)
+from .states import SeededSampler, haar_random_pure
+
+REPORT_FORMAT_VERSION = "1"
+DEFAULT_TOLERANCE = 1e-10
+# amplitude bytes (16 per amplitude) a campaign stacks into one profile_batch
+# block; blocks of more than about five 12-qubit states measured slower
+BLOCK_BYTES = 1 << 18
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    samples: int
+    qubit_counts: tuple
+    kinds: tuple
+    seed: int
+    tolerance: float = DEFAULT_TOLERANCE
+
+    def validate(self) -> None:
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        for n in self.qubit_counts:
+            if not 3 <= n <= MAX_QUBITS:
+                raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")
+        if len(set(self.qubit_counts)) < len(self.qubit_counts):
+            raise ValueError("qubit counts must not repeat")
+        if not self.kinds:
+            raise ValueError("no bounds selected")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError("bound kinds must not repeat")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError("tolerance must be positive and finite")
+        for kind in self.kinds:
+            if not any(kind.fits(n) for n in self.qubit_counts):
+                pinned = "" if kind.m is None else f" with m = {kind.m}"
+                raise ValueError(f"{kind.id.value}{pinned} fits none of the requested qubit counts")
+
+
+@dataclass
+class CampaignRow:
+    """One bound kind at one qubit count; the campaign tallies samples into it."""
+
+    bound: str
+    alpha: float
+    m: int | None
+    qubits: int
+    total: int = 0
+    applicable: int = 0
+    passed: int = 0
+    failed: int = 0
+    indeterminate: int = 0
+    not_applicable: int = 0
+    worst_slack: float | None = None
+    worst_sample: int | None = None
+    failures: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class CampaignResult:
+    config: CampaignConfig
+    rows: tuple
+    all_passed: bool
+    stats: dict
+
+    def to_json(self) -> str:
+        payload = {
+            "format_version": REPORT_FORMAT_VERSION,
+            "config": {
+                "samples": self.config.samples,
+                "qubit_counts": list(self.config.qubit_counts),
+                "bounds": [
+                    {"bound": k.id.value, "alpha": k.alpha, "m": k.m}
+                    for k in self.config.kinds
+                ],
+                "seed": self.config.seed,
+                "tolerance": self.config.tolerance,
+            },
+            "rows": [asdict(r) for r in self.rows],
+            "stats": self.stats,
+            "all_passed": self.all_passed,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
+    """The exact state a campaign drew for one sample; the replay hook."""
+    return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
+
+
+def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
+    """Count one block of verdicts at one power into row; its samples start at index start."""
+    codes, slack, strict = verdicts.applicable[:, 0], verdicts.slack[:, 0], verdicts.strict[:, 0]
+    holds = codes == HOLDS
+    # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
+    fails = holds & (slack < np.where(strict, STRICT_SLACK_FLOOR, -tolerance))
+    row.total += len(codes)
+    row.indeterminate += int(np.count_nonzero(codes == UNDECIDED))
+    row.not_applicable += int(np.count_nonzero(codes == FAILS))
+    row.applicable += int(np.count_nonzero(holds))
+    row.failed += int(np.count_nonzero(fails))
+    row.passed += int(np.count_nonzero(holds & ~fails))
+    row.failures.extend({"sample_index": start + int(j), "slack": float(slack[j])}
+                        for j in np.flatnonzero(fails))
+    if holds.any():
+        candidates = np.flatnonzero(holds)
+        j = candidates[np.argmin(slack[candidates])]  # the first of equal minima
+        if row.worst_slack is None or slack[j] < row.worst_slack:  # earlier blocks win ties
+            row.worst_slack, row.worst_sample = float(slack[j]), start + int(j)
+
+
+def run_campaign(config: CampaignConfig) -> CampaignResult:
+    """Deterministic Monte Carlo verification; a pure function of config."""
+    config.validate()
+    rows = []
+    for n in config.qubit_counts:
+        fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))
+                   for k in config.kinds if k.fits(n)]
+        if not fitting:
+            continue  # no kind is stated for n parties, so nothing to sample
+        part = PartitionSpec.default(n)
+        size = max(1, BLOCK_BYTES // (2 ** n * 16))
+        for start in range(0, config.samples, size):
+            stop = min(start + size, config.samples)
+            vecs = np.stack([campaign_state(config.seed, n, i) for i in range(start, stop)])
+            block = profile_batch(vecs, part)
+            for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
+                _tally(row, verdicts, start, config.tolerance)
+        rows.extend(row for _, row in fitting)
+    stats = {
+        "profiles": config.samples * len({r.qubits for r in rows}),
+        "bound_evaluations": sum(r.total for r in rows),
+    }
+    return CampaignResult(config, tuple(rows), all(r.failed == 0 for r in rows), stats)

@@ -1,22 +1,17 @@
-"""Verification harness: state files, Monte Carlo campaigns, and the CLI.
+"""The entmono command line: parse arguments, run one subcommand, map errors to exit codes.
 
 Subcommands:
 
   example   rebuild one of the three bundled residual-curve scenarios
             through the full pipeline and emit alpha,y1,y2 CSV
   verify    sample Haar-random pure states and check bound families,
-            emitting a deterministic JSON campaign report
-  measure   profile a state file: concurrence and EoF quantities
+            emitting a deterministic JSON campaign report (entmono.engine)
+  measure   profile a state file (entmono.statefile): concurrence and EoF
   sweep     residual curves for a caller-supplied state and bound pair
 
 Exit codes: 0 success, 1 an applicable bound failed beyond tolerance
-(verify only), 2 usage or configuration errors.
-
-Campaign reports are reproducible byte for byte: every sample's state is
-derived from the root seed via a spawn key, and the emitted JSON contains
-only deterministic fields (wall-clock timing goes to stderr). Samples are
-profiled in blocks of BLOCK_BYTES of amplitudes; the block size changes no
-value in a report.
+(verify only), 2 usage or configuration errors. Reports and CSV go to
+stdout or --out; summaries and wall-clock timings go to stderr.
 """
 
 import argparse
@@ -25,37 +20,27 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, as_density_matrix, as_state_vector, num_qubits_of, partial_trace
+from .engine import DEFAULT_TOLERANCE, REPORT_FORMAT_VERSION, CampaignConfig, run_campaign
+from .engine import CampaignResult  # noqa: F401  (looked up here by perfbench's tracer)
+from .linalg import partial_trace
 from .measures import _wootters, eof_from_squared_concurrence
 from .monogamy import (
     ALPHA_MIN_EOF,
-    FAILS,
-    HOLDS,
-    STRICT_SLACK_FLOOR,
-    UNDECIDED,
     BoundId,
     PartitionSpec,
     check_split_index,
-    evaluate_block,
     family_kinds,
     profile,
     profile_batch,
     residual_sweep,
 )
-from .states import SeededSampler, generalized_schmidt, haar_random_pure, w_state
+from .states import generalized_schmidt, w_state
+from .statefile import _as_pure, load_state_file
 
-STATE_FORMAT_VERSION = "1"
-REPORT_FORMAT_VERSION = "1"
-DEFAULT_TOLERANCE = 1e-10
 MAX_GRID_POINTS = 10_000
-# amplitude bytes (16 per amplitude) a campaign stacks into one profile_batch
-# block; blocks of more than about five 12-qubit states measured slower
-BLOCK_BYTES = 1 << 18
-
 _SCHMIDT_FLAT = (math.sqrt(5.0) / 5.0,) * 5
 
 _EXAMPLE_SETUPS = {
@@ -81,209 +66,6 @@ def alpha_grid(lo: float, hi: float, step: float) -> tuple:
         raise ValueError(f"alpha grid would exceed {MAX_GRID_POINTS} points")
     count = int(math.floor(span + 1e-9)) + 1
     return tuple(lo + k * step for k in range(count))
-
-
-# ---------------------------------------------------------------- state files
-
-@dataclass(frozen=True)
-class LoadedState:
-    num_qubits: int
-    amplitudes: np.ndarray | None
-    density_matrix: np.ndarray | None
-
-
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a list of [real, imag] pairs") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"{what} must be a list of [real, imag] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a finite number")
-
-
-def load_state_file(path: str) -> LoadedState:
-    """Read and validate a JSON state file; NaN and Infinity tokens are rejected."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_constant=_reject_constant)
-        except ValueError as exc:  # JSONDecodeError is a ValueError too
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: state file must be a JSON object")
-    if data.get("format_version") != STATE_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {data.get('format_version')!r}")
-    n = data.get("num_qubits")
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"{path}: num_qubits must be an integer 1..{MAX_QUBITS}")
-    has_amp = "amplitudes" in data
-    has_rho = "density_matrix" in data
-    if has_amp == has_rho:
-        raise ValueError(f"{path}: exactly one of amplitudes or density_matrix is required")
-    if has_amp:
-        vec = _pairs_to_complex(data["amplitudes"], "amplitudes")
-        if vec.shape[0] != 2 ** n:
-            raise ValueError(f"{path}: expected {2 ** n} amplitudes, got {vec.shape[0]}")
-        return LoadedState(n, as_state_vector(vec), None)
-    flat = _pairs_to_complex(data["density_matrix"], "density_matrix")
-    if flat.shape[0] != 4 ** n:
-        raise ValueError(f"{path}: expected {4 ** n} row-major density entries")
-    rho = as_density_matrix(flat.reshape(2 ** n, 2 ** n))
-    return LoadedState(n, None, rho)
-
-
-def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
-    """Write a JSON state file holding exactly one representation."""
-    if (amplitudes is None) == (density_matrix is None):
-        raise ValueError("exactly one of amplitudes or density_matrix is required")
-    if amplitudes is not None:
-        vec = as_state_vector(amplitudes)
-        payload = {
-            "format_version": STATE_FORMAT_VERSION,
-            "num_qubits": num_qubits_of(vec.shape[0]),
-            "amplitudes": [[float(z.real), float(z.imag)] for z in vec],
-        }
-    else:
-        rho = as_density_matrix(density_matrix)
-        payload = {
-            "format_version": STATE_FORMAT_VERSION,
-            "num_qubits": num_qubits_of(rho.shape[0]),
-            "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-# ------------------------------------------------------------------ campaigns
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    samples: int
-    qubit_counts: tuple
-    kinds: tuple
-    seed: int
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def validate(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        for n in self.qubit_counts:
-            if not 3 <= n <= MAX_QUBITS:
-                raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")
-        if len(set(self.qubit_counts)) < len(self.qubit_counts):
-            raise ValueError("qubit counts must not repeat")
-        if not self.kinds:
-            raise ValueError("no bounds selected")
-        if len(set(self.kinds)) < len(self.kinds):
-            raise ValueError("bound kinds must not repeat")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
-        for kind in self.kinds:
-            if not any(kind.fits(n) for n in self.qubit_counts):
-                pinned = "" if kind.m is None else f" with m = {kind.m}"
-                raise ValueError(f"{kind.id.value}{pinned} fits none of the requested qubit counts")
-
-
-@dataclass
-class CampaignRow:
-    """One bound kind at one qubit count; the campaign tallies samples into it."""
-
-    bound: str
-    alpha: float
-    m: int | None
-    qubits: int
-    total: int = 0
-    applicable: int = 0
-    passed: int = 0
-    failed: int = 0
-    indeterminate: int = 0
-    not_applicable: int = 0
-    worst_slack: float | None = None
-    worst_sample: int | None = None
-    failures: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    config: CampaignConfig
-    rows: tuple
-    all_passed: bool
-    stats: dict
-
-    def to_json(self) -> str:
-        payload = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "config": {
-                "samples": self.config.samples,
-                "qubit_counts": list(self.config.qubit_counts),
-                "bounds": [
-                    {"bound": k.id.value, "alpha": k.alpha, "m": k.m}
-                    for k in self.config.kinds
-                ],
-                "seed": self.config.seed,
-                "tolerance": self.config.tolerance,
-            },
-            "rows": [asdict(r) for r in self.rows],
-            "stats": self.stats,
-            "all_passed": self.all_passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
-    """The exact state a campaign drew for one sample; the replay hook."""
-    return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
-
-
-def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
-    """Count one block of verdicts at one power into row; its samples start at index start."""
-    codes, slack, strict = verdicts.applicable[:, 0], verdicts.slack[:, 0], verdicts.strict[:, 0]
-    holds = codes == HOLDS
-    # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
-    fails = holds & (slack < np.where(strict, STRICT_SLACK_FLOOR, -tolerance))
-    row.total += len(codes)
-    row.indeterminate += int(np.count_nonzero(codes == UNDECIDED))
-    row.not_applicable += int(np.count_nonzero(codes == FAILS))
-    row.applicable += int(np.count_nonzero(holds))
-    row.failed += int(np.count_nonzero(fails))
-    row.passed += int(np.count_nonzero(holds & ~fails))
-    row.failures.extend({"sample_index": start + int(j), "slack": float(slack[j])}
-                        for j in np.flatnonzero(fails))
-    if holds.any():
-        candidates = np.flatnonzero(holds)
-        j = candidates[np.argmin(slack[candidates])]  # the first of equal minima
-        if row.worst_slack is None or slack[j] < row.worst_slack:  # earlier blocks win ties
-            row.worst_slack, row.worst_sample = float(slack[j]), start + int(j)
-
-
-def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Deterministic Monte Carlo verification; a pure function of config."""
-    config.validate()
-    rows = []
-    for n in config.qubit_counts:
-        fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))
-                   for k in config.kinds if k.fits(n)]
-        if not fitting:
-            continue  # no kind is stated for n parties, so nothing to sample
-        part = PartitionSpec.default(n)
-        size = max(1, BLOCK_BYTES // (2 ** n * 16))
-        for start in range(0, config.samples, size):
-            stop = min(start + size, config.samples)
-            vecs = np.stack([campaign_state(config.seed, n, i) for i in range(start, stop)])
-            block = profile_batch(vecs, part)
-            for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
-                _tally(row, verdicts, start, config.tolerance)
-        rows.extend(row for _, row in fitting)
-    stats = {
-        "profiles": config.samples * len({r.qubits for r in rows}),
-        "bound_evaluations": sum(r.total for r in rows),
-    }
-    return CampaignResult(config, tuple(rows), all(r.failed == 0 for r in rows), stats)
 
 
 # ------------------------------------------------------------------- commands
@@ -384,16 +166,6 @@ def _partition_from_args(args, num_qubits: int) -> PartitionSpec:
     else:
         rest = tuple(q for q in range(num_qubits) if q != focus)
     return PartitionSpec(focus, rest)
-
-
-def _as_pure(loaded: LoadedState) -> np.ndarray | None:
-    """A trusted unit vector: the checked amplitudes, or a rank-one density's eigenvector."""
-    if loaded.amplitudes is not None:
-        return loaded.amplitudes
-    lam, vec = np.linalg.eigh(loaded.density_matrix)
-    if lam[-1] >= 1.0 - 1e-10:
-        return vec[:, -1]
-    return None
 
 
 def cmd_measure(args) -> int:

@@ -51,21 +51,13 @@ def as_state_vector(psi) -> np.ndarray:
     return vec
 
 
-def is_hermitian(matrix: np.ndarray) -> bool:
-    m = np.asarray(matrix)
-    scale = np.abs(m).max()
-    if scale == 0.0:
-        return True
-    return np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * scale
-
-
 def _as_hermitian(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if not is_hermitian(m):
+    if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * np.abs(m).max():
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -80,11 +72,6 @@ def as_density_matrix(rho) -> np.ndarray:
     if np.linalg.eigvalsh(m)[0] < -PSD_ATOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return m
-
-
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted in descending order."""
-    return np.linalg.eigvalsh(_as_hermitian(matrix))[::-1]
 
 
 def _kept_positions(keep, num_qubits: int) -> tuple:

@@ -18,7 +18,7 @@ the convex roof, so oracle >= closed form up to roundoff.
 import numpy as np
 from scipy.special import xlogy
 
-from .linalg import _as_hermitian, as_density_matrix, reduced_state
+from .linalg import as_density_matrix, reduced_state
 
 DOMAIN_ATOL = 1e-10
 
@@ -39,12 +39,6 @@ def _binary_entropy(p):
     return h + 0.0  # flush -0.0 at the endpoints
 
 
-def binary_entropy(p):
-    """Shannon entropy of (p, 1-p) in bits. Accepts scalars or arrays."""
-    h = _binary_entropy(_unit_interval(p, "probability"))
-    return float(h) if np.ndim(p) == 0 else h
-
-
 def eof_from_squared_concurrence(x):
     """Entanglement of formation from squared concurrence.
 
@@ -60,11 +54,6 @@ def _entropy(rho) -> np.ndarray:
     """Von Neumann entropies in bits of trusted Hermitian matrices stacked (S, d, d)."""
     lam = np.clip(np.linalg.eigvalsh(rho)[..., ::-1], 0.0, 1.0)
     return -(xlogy(lam, lam)).sum(axis=-1) / np.log(2.0) + 0.0
-
-
-def von_neumann_entropy(rho) -> float:
-    """Von Neumann entropy in bits, with eigenvalues clamped to [0, 1]."""
-    return float(_entropy(_as_hermitian(rho)[None])[0])
 
 
 def _purity_concurrence(rho_a) -> np.ndarray:

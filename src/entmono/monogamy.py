@@ -33,7 +33,9 @@ A BoundReport's slack is oriented so that nonnegative means the bound
 holds: lhs - rhs for lower bounds, rhs - lhs for upper bounds.
 Applicability is three-valued: False when a stated condition fails, None
 when a condition needs a tail concurrence that has no closed form (a
-mixed reduction with two or more remaining parties), True otherwise.
+mixed reduction with two or more remaining parties), True otherwise. A
+power that overflows (an lhs or rhs that is not finite) makes the point
+not applicable, with a NaN slack, in every family.
 
 One kernel, _evaluate_batch, evaluates every bound: one family at one
 split index on a ProfileBlock of S profiles and A powers, returning
@@ -50,9 +52,8 @@ keeps four rules:
                 (coeffs[:, None, :] @ powered[:, :, None])[:, 0, 0], which
                 is the same FMA chain as a 1-D coeffs @ values; V @ c,
                 np.dot, einsum and np.matvec sum in other orders
-  lhs           a Python-float power per element (libm pow), and an
-                np.float64 scalar power for the upper families, never an
-                array power, whose vectorised pow rounds differently
+  lhs           an np.float64 scalar power per element (libm pow), never
+                an array power, whose vectorised pow rounds differently
   exponent      each power is raised as a Python scalar, one call per grid
                 point, so a = 2.0 takes numpy's exact squaring; an array
                 of exponents rounds differently
@@ -291,8 +292,9 @@ class BoundReport:
     slack is lhs - rhs for lower bounds and rhs - lhs for upper bounds, so
     a nonnegative slack always means the bound holds. strict marks upper
     bounds whose inequality is expected to be strictly positive. Fields
-    are populated diagnostically even when applicable is False; they are
-    NaN only if the power itself is undefined.
+    are populated diagnostically even when applicable is False; lhs and rhs
+    are NaN only if the power itself is undefined, and slack is NaN
+    wherever lhs or rhs is not finite.
     """
 
     kind: BoundKind
@@ -349,28 +351,13 @@ def _tails(c_pair: np.ndarray) -> np.ndarray:
     return tails
 
 
-def bound_coefficients(kind_id, alpha: float, num_parties: int,
-                       m: int | None = None) -> np.ndarray:
-    """Per-pair coefficient vector of a bound's right-hand side.
-
-    For upper-mean this is the no-drop case 1/(N-1); evaluation recomputes
-    the mean over retained terms when zeros are dropped.
-    """
-    kind = BoundKind(kind_id, alpha, m)
-    family = _family_at(kind, num_parties)
-    if family.shape == "split" and m is None:
-        raise ValueError("split kinds need a split index m")
-    return _coefficients(family, kind.alpha, num_parties - 1, m)
-
-
 def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
-    if family.shape in ("unit", "sum"):
+    """The pair coefficients of a lower family; a huge power overflows them to inf."""
+    if family.shape == "unit":
         return np.ones(k)
-    if family.shape == "mean":
-        return np.full(k, 1.0 / k)
     # the ratio is alpha over the least allowed power, so a tightened family
     # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
-    ratio = alpha / family.powers[0]
+    ratio = np.float64(alpha / family.powers[0])
     if family.shape == "ordered":
         return ratio ** np.arange(k)
     # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
@@ -443,8 +430,8 @@ class Verdicts(NamedTuple):
     """One bound family evaluated on S profiles at A powers.
 
     slack is lhs - rhs for lower bounds and rhs - lhs for upper bounds, and
-    NaN where an upper bound is not verifiable. strict marks upper-bound
-    verdicts that must clear a positive floor.
+    NaN where a point is not verifiable. strict marks upper-bound verdicts
+    that must clear a positive floor.
     """
 
     lhs: np.ndarray         # (S, A)
@@ -460,32 +447,51 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
                     alphas) -> Verdicts:
     """Evaluate one family, with its conditions decided, on a block at each power.
 
-    Each row is bit-identical to a batch of one; the module docstring gives
-    the rules that keep it so.
+    A point whose lhs or rhs is not finite (a power overflowed) is not
+    applicable and has a NaN slack. Each row is bit-identical to a batch of
+    one; the module docstring gives the rules that keep it so.
     """
-    if family.shape in ("mean", "sum"):
-        return _evaluate_upper(block, family.shape == "mean", decision, alphas)
+    upper = family.shape in ("mean", "sum")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+        if upper:
+            lhs, rhs, dropped = _upper_sides(block, family.shape == "mean", alphas)
+        else:
+            lhs, rhs = _lower_sides(block, family, decision, alphas)
+            dropped = np.zeros(block.c_pair.shape, bool)
+        slack = rhs - lhs if upper else lhs - rhs
+    # both sides are >= 0, so the difference is finite exactly when both sides are
+    ok = np.isfinite(slack)
+    slack = np.where(ok, slack, np.nan)
+    strict = (ok & (block.c_pair.min(axis=1) > STRICT_PAIR_FLOOR)[:, None] if upper
+              else np.zeros_like(ok))
+    return Verdicts(lhs, rhs, slack, np.where(ok, decision.applicable[:, None], FAILS),
+                    strict, dropped, decision)
+
+
+def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alphas) -> tuple:
     base, values = ((block.e_focus, block.e_pair) if family.measure == "E"
                     else (block.c_focus, block.c_pair))
-    base = base.tolist()
     s, k = values.shape
     splits = ([(None, slice(None))] if decision.m_used is None else
               [(int(m), decision.m_used == m) for m in np.unique(decision.m_used)])
-    lhs = np.empty((s, len(alphas)))
+    lhs = _scalar_powers(base, alphas)
     rhs = np.empty((s, len(alphas)))
     coeffs = np.empty((s, k))
     for j, alpha in enumerate(alphas):
-        lhs[:, j] = [b ** alpha for b in base]
         for m, rows in splits:
             coeffs[rows] = _coefficients(family, alpha, k, m)
         # a stack of 1-D dot products: the same FMA chain as coeffs @ values
         rhs[:, j] = (coeffs[:, None, :] @ (values ** alpha)[:, :, None])[:, 0, 0]
-    applicable = np.repeat(decision.applicable[:, None], len(alphas), axis=1)
-    return Verdicts(lhs, rhs, lhs - rhs, applicable, np.zeros_like(lhs, bool),
-                    np.zeros((s, k), bool), decision)
+    return lhs, rhs
 
 
-def _evaluate_upper(block: ProfileBlock, mean: bool, decision: _Decision, alphas) -> Verdicts:
+def _scalar_powers(bases: np.ndarray, alphas) -> np.ndarray:
+    """(len(bases), len(alphas)) powers, each an np.float64 scalar power (the lhs rule)."""
+    powers = (b ** alpha for b in bases for alpha in alphas)
+    return np.fromiter(powers, float, len(bases) * len(alphas)).reshape(len(bases), len(alphas))
+
+
+def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     c_focus, c_pair = block.c_focus, block.c_pair
     s, k = c_pair.shape
     dropped = c_pair <= DROP_ATOL
@@ -496,22 +502,16 @@ def _evaluate_upper(block: ProfileBlock, mean: bool, decision: _Decision, alphas
     # rows with a dropped pair sum their retained terms alone: a padded sum
     # of eight or more terms would group them differently
     partial = [(r, c_pair[r, ~dropped[r]]) for r in valid[retained[valid] < k]]
-    focus = c_focus[valid].tolist()
     lhs = np.full((s, len(alphas)), np.nan)
+    lhs[valid] = _scalar_powers(c_focus[valid], alphas)
     rhs = np.full((s, len(alphas)), np.nan)
-    with np.errstate(over="ignore"):  # an overflow to inf is not verifiable, below
-        for j, alpha in enumerate(alphas):
-            lhs[valid, j] = [np.float64(c) ** alpha for c in focus]
-            rhs[whole, j] = (c_pair[whole] ** alpha).sum(axis=1)
-            for r, terms in partial:
-                rhs[r, j] = (terms ** alpha).sum()
+    for j, alpha in enumerate(alphas):
+        rhs[whole, j] = (c_pair[whole] ** alpha).sum(axis=1)
+        for r, terms in partial:
+            rhs[r, j] = (terms ** alpha).sum()
     if mean:
         rhs /= retained[:, None]
-    ok = np.isfinite(lhs) & np.isfinite(rhs)
-    slack = np.full_like(lhs, np.nan)
-    slack[ok] = rhs[ok] - lhs[ok]
-    strict = ok & ((retained == k) & (c_pair.min(axis=1) > STRICT_PAIR_FLOOR))[:, None]
-    return Verdicts(lhs, rhs, slack, np.where(ok, HOLDS, FAILS), strict, dropped, decision)
+    return lhs, rhs, dropped
 
 
 def evaluate_block(block: ProfileBlock, kinds) -> list:
@@ -539,13 +539,12 @@ def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
                         (kind.alpha,))
     lhs, rhs, slack = float(v.lhs[0, 0]), float(v.rhs[0, 0]), float(v.slack[0, 0])
     applicable = _VERDICT[v.applicable[0, 0]]
+    note = "power overflow; bound not verifiable numerically" if math.isnan(slack) else ""
     if family.shape in ("mean", "sum"):
-        note = ""
-        if applicable is False:
-            note = ("every pairwise concurrence is zero" if v.dropped[0].all() else
-                    "focus-rest concurrence is zero; negative power undefined"
-                    if math.isnan(lhs) else
-                    "negative power overflow; bound not verifiable numerically")
+        if v.dropped[0].all():
+            note = "every pairwise concurrence is zero"
+        elif math.isnan(lhs):
+            note = "focus-rest concurrence is zero; negative power undefined"
         return BoundReport(kind, "upper", lhs, rhs, slack, applicable,
                            dropped_pairs=tuple(np.flatnonzero(v.dropped[0]).tolist()),
                            strict=bool(v.strict[0, 0]), note=note)
@@ -556,7 +555,7 @@ def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
                                   _VERDICT[code])
                    for i, (rel, code) in enumerate(zip(relations, v.decision.verdicts[0]), 1))
     return BoundReport(kind, "lower", lhs, rhs, slack, applicable, conditions=checks,
-                       m_used=m_used)
+                       m_used=m_used, note=note)
 
 
 @dataclass(frozen=True)
@@ -594,8 +593,8 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
 
     Every grid point must be valid for both bound families. Ordering
     conditions do not involve alpha and are decided once per bound; an
-    overflowing negative power makes an upper bound's applicability vary
-    along the grid.
+    overflowing power makes a bound's applicability vary along the grid,
+    and its residual NaN there.
     """
     grid = tuple(float(a) for a in alphas)
     if not grid:
@@ -611,8 +610,10 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
     for bound, family in zip(ids, families):
         v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape,
                                                    _split_only(bound, m)), grid)
-        with np.errstate(invalid="ignore"):  # inf - inf of two overflowed powers is NaN
-            curves.append(tuple((v.lhs - v.rhs)[0].tolist()))
+        ok = ~np.isnan(v.slack[0])
+        y = np.full(len(grid), np.nan)  # NaN where the point is not verifiable
+        y[ok] = v.lhs[0, ok] - v.rhs[0, ok]  # not -slack, which turns +0.0 into -0.0
+        curves.append(tuple(y.tolist()))
         applicable.append(v.applicable[0])
     return AlphaSweep(grid, curves[0], curves[1], ids[0], ids[1],
                       _VERDICT[_fold(applicable[0])], _VERDICT[_fold(applicable[1])],

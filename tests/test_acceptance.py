@@ -14,7 +14,8 @@ import numpy as np
 
 from conftest import record_verdict
 
-from entmono.harness import CampaignConfig, alpha_grid, campaign_state, run_campaign
+from entmono.engine import CampaignConfig, campaign_state, run_campaign
+from entmono.harness import alpha_grid
 from entmono.measures import (
     concurrence_pure,
     convex_roof_upper_bound,
@@ -22,10 +23,11 @@ from entmono.measures import (
     wootters_concurrence,
 )
 from entmono.monogamy import (
+    _FAMILIES,
     ALPHA_MIN_EOF,
     BoundId,
     BoundKind,
-    bound_coefficients,
+    _coefficients,
     evaluate,
     profile,
     residual_sweep,
@@ -153,10 +155,10 @@ def test_criterion_5_tightened_bounds_dominate():
         for parties in (4, 5, 6):
             for m in range(1, parties - 2):
                 for a in (2.0, 2.5, 4.0):
-                    c = bound_coefficients(BoundId.TIGHT_SPLIT, a, parties, m=m)
+                    c = _coefficients(_FAMILIES[BoundId.TIGHT_SPLIT], a, parties - 1, m)
                     assert c.min() >= 1.0 - 1e-15
                 for a in (SQRT2, 2.0, 3.0):
-                    c = bound_coefficients(BoundId.EOF_TIGHT_SPLIT, a, parties, m=m)
+                    c = _coefficients(_FAMILIES[BoundId.EOF_TIGHT_SPLIT], a, parties - 1, m)
                     assert c.min() >= 1.0 - 1e-15
         ok = True
     finally:

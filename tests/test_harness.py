@@ -1,26 +1,25 @@
+import contextlib
+import io
 import json
 import math
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entmono import harness, monogamy
-from entmono.harness import (
-    CampaignConfig,
-    alpha_grid,
-    campaign_state,
-    load_state_file,
-    main,
-    run_campaign,
-    save_state_file,
-)
+from entmono import engine, harness, monogamy, statefile
+from entmono.engine import CampaignConfig, campaign_state, run_campaign
+from entmono.harness import alpha_grid, main
+from entmono.statefile import load_state_file, save_state_file
 from entmono.linalg import as_state_vector, partial_trace
 from entmono.measures import wootters_concurrence
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
-from entmono.states import SeededSampler, basis_state, random_mixed, w_state
+from entmono.states import SeededSampler, basis_state, ghz_state, random_mixed, w_state
 
 
 DATA = Path(__file__).parent / "data"
@@ -177,7 +176,7 @@ def test_run_campaign_block_size_changes_nothing(budget, monkeypatch):
         seed=11,
     )
     expected = run_campaign(config).to_json()
-    monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
     assert run_campaign(config).to_json() == expected
 
 
@@ -348,7 +347,7 @@ def test_cli_measure_and_sweep_check_a_loaded_state_once(tmp_path, monkeypatch, 
         checked.append(1)
         return as_state_vector(psi)
 
-    monkeypatch.setattr(harness, "as_state_vector", counting)
+    monkeypatch.setattr(statefile, "as_state_vector", counting)
     monkeypatch.setattr(monogamy, "as_state_vector", counting)
     state = tmp_path / "w4.json"
     save_state_file(str(state), amplitudes=w_state(4))
@@ -427,7 +426,7 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     def no_sampling(*args):
         raise AssertionError("a sample was drawn before the input was rejected")
 
-    monkeypatch.setattr(harness, "campaign_state", no_sampling)
+    monkeypatch.setattr(engine, "campaign_state", no_sampling)
     assert main(["verify", "--samples", "300"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -441,7 +440,7 @@ def test_run_campaign_samples_only_counts_with_rows(monkeypatch):
         drawn.append(qubits)
         return campaign_state(seed, qubits, index)
 
-    monkeypatch.setattr(harness, "campaign_state", recording_state)
+    monkeypatch.setattr(engine, "campaign_state", recording_state)
     kind = BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0)
     result = run_campaign(CampaignConfig(5, (3, 4), (kind,), 0))
     assert drawn == [3] * 5
@@ -522,3 +521,121 @@ def test_cli_usage_errors():
     assert main(["example"]) == 2
     assert main(["example", "--id", "9"]) == 2
     assert main(["measure", "--state", "/nonexistent/state.json"]) == 2
+
+
+def _one_power(alpha):
+    # flag=value, so that argparse takes a value like -1e300 for a value, not a flag
+    return [f"--alpha-min={alpha}", f"--alpha-max={alpha}", "--alpha-step=1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--qubits", "5", "--bound", "tight-split"] + _one_power("1e300"),
+    ["verify", "--qubits", "12", "--bound", "eof-tight-split"] + _one_power("1e40"),
+    ["verify", "--qubits", "5", "--bound", "tight-ordered"] + _one_power("1e300"),
+])
+def test_cli_verify_huge_power_is_not_applicable(argv, tmp_path, capsys):
+    # the coefficients overflow to inf, and inf * 0 in the rhs is NaN
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--samples", "3", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["not_applicable"] == row["total"] == 3
+    assert row["worst_slack"] is None
+
+
+def test_cli_sweep_huge_power_is_not_applicable(tmp_path, capsys):
+    # GHZ-3 profiles C(A|rest) = 1.0000000000000002, whose 1e300th power overflows
+    state = tmp_path / "ghz3.json"
+    save_state_file(str(state), amplitudes=ghz_state(3))
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--state", str(state), "--bound", "tight-ordered",
+                     "--baseline", "alpha-power", "--out", str(out)] + _one_power("1e300")) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "tight-ordered applicability is False" in err
+    assert out.read_text() == "alpha,y1,y2\n1.0000000000000001e+300,nan,nan\n"
+
+
+# The exit-code contract over random argv. Hypothesis draws (and shrinks
+# towards) the first entries of a list most, so usable values lead each list.
+_NUMBERS = ["2", "3", "1e300", "-1", "1e40", "-1e300", "2.5", "1.5", "-800", "-0.5", "0", "0.5",
+            "1", "1e-300", "nan", "inf", "-inf"]
+_QUBITS = [5, 4, 12, 3, 10, 13, 2, 6, 7, 8, 9, 11]
+_BOUNDS = st.sampled_from(["tight-ordered", "alpha-power", "tight-split", "eof-tight-ordered",
+                           "upper-mean", "ckw", "eof-alpha-power", "eof-tight-split",
+                           "tight-tripartite", "upper-sum"])  # every BoundId
+_STATES = st.sampled_from(["@haar5", "@ghz4", "@w3", "@mixed3", "@bell2"])  # state_files
+
+
+def _maybe(name, values):
+    """Absent three times in four, else the flag with one drawn value."""
+    return st.one_of(st.just([]), st.just([]), st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+def _grid_in_reach(argv):
+    """Whether argv builds at most 20 grid points, or none, or is refused by alpha_grid."""
+    flags = dict(t.split("=", 1) for t in argv if "=" in t)
+    try:
+        lo, hi, step = (float(flags[f]) for f in ("--alpha-min", "--alpha-max", "--alpha-step"))
+        return not 20 < (hi - lo) / step < 10_000
+    except (KeyError, ZeroDivisionError):
+        return True
+
+
+_grid = st.one_of(
+    st.sampled_from(["1e300", "-1e300", "1e40", "-800"]).map(_one_power),
+    st.sampled_from(_NUMBERS).map(_one_power), st.just([]),
+    st.lists(st.sampled_from(_NUMBERS), min_size=3, max_size=3).map(
+        lambda g: [f"--alpha-min={g[0]}", f"--alpha-max={g[1]}", f"--alpha-step={g[2]}"]))
+_split_index = _maybe("--m", st.integers(0, 3).map(str))
+_partition = (_maybe("--focus", st.integers(-1, 4).map(str)),
+              _maybe("--order", st.lists(st.integers(0, 4), min_size=1, max_size=5)
+                     .map(lambda q: ",".join(map(str, q)))))
+_argv = st.one_of(
+    st.tuples(st.just(["verify", "--samples"]), st.sampled_from(["3", "1", "0"]).map(lambda v: [v]),
+              st.lists(st.sampled_from(_QUBITS), min_size=1, max_size=3)
+              .map(lambda q: ["--qubits", ",".join(map(str, q))]),
+              st.lists(_BOUNDS, max_size=2).map(lambda bs: [t for b in bs for t in ("--bound", b)]),
+              _grid, _split_index, _maybe("--tolerance", st.sampled_from(_NUMBERS)),
+              _maybe("--seed", st.integers(0, 3).map(str))),
+    st.tuples(st.just(["sweep", "--state"]), _STATES.map(lambda s: [s]),
+              _BOUNDS.map(lambda b: ["--bound", b]), _BOUNDS.map(lambda b: ["--baseline", b]),
+              _grid, _split_index, *_partition),
+    st.tuples(st.just(["measure", "--state"]), _STATES.map(lambda s: [s]), *_partition),
+    st.tuples(st.just(["example", "--id"]), st.integers(0, 4).map(lambda i: [str(i)]), _grid),
+).map(lambda parts: [t for part in parts for t in part]).filter(_grid_in_reach)
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("states")
+    files = {"w3": {"amplitudes": w_state(3)}, "ghz4": {"amplitudes": ghz_state(4)},
+             "haar5": {"amplitudes": campaign_state(0, 5, 0)},
+             "mixed3": {"density_matrix": random_mixed(3, 1, SeededSampler(5))},
+             "bell2": {"amplitudes": np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)}}
+    for name, state in files.items():
+        save_state_file(str(root / f"{name}.json"), **state)
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv)
+def test_cli_exit_code_contract(argv, state_files):
+    """main returns 0, 1 or 2 and never raises; 1 only from a verify that saw a failure."""
+    argv = [str(state_files / f"{t[1:]}.json") if t.startswith("@") else t for t in argv]
+    out = state_files / "out"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(out)])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert argv[0] == "verify", argv
+        assert json.loads(out.read_text())["all_passed"] is False, argv

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmono.linalg import (
+    _as_hermitian,
     as_density_matrix,
     as_state_vector,
-    hermitian_eigenvalues,
-    is_hermitian,
     num_qubits_of,
     partial_trace,
     reduced_state,
@@ -57,9 +56,10 @@ def test_as_state_vector_checks():
 
 
 def test_is_hermitian():
-    assert is_hermitian(np.array([[1.0, 2.0j], [-2.0j, 3.0]]))
-    assert is_hermitian(np.zeros((4, 4)))
-    assert not is_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    _as_hermitian(np.array([[1.0, 2.0j], [-2.0j, 3.0]]))  # raises unless Hermitian
+    _as_hermitian(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _as_hermitian(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_as_density_matrix_validation():
@@ -76,10 +76,10 @@ def test_as_density_matrix_validation():
 
 
 def test_hermitian_eigenvalues_descending():
-    lam = hermitian_eigenvalues(np.diag([0.1, 0.7, 0.2, 0.0]))
+    lam = np.linalg.eigvalsh(_as_hermitian(np.diag([0.1, 0.7, 0.2, 0.0])))[::-1]
     assert list(lam) == sorted(lam, reverse=True)
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        np.linalg.eigvalsh(_as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 def test_partial_trace_product_state():
@@ -111,7 +111,7 @@ def test_partial_trace_matches_index_sums(seed):
         got = partial_trace(rho, keep)
         np.testing.assert_allclose(got, _einsum_trace(rho, keep, 3), atol=1e-13)
         assert abs(np.trace(got) - 1.0) < 1e-12
-        assert is_hermitian(got)
+        _as_hermitian(got)  # raises unless Hermitian
 
 
 def test_partial_trace_sequential_equals_one_shot():

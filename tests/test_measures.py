@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from entmono.linalg import reduced_state
 from entmono.measures import (
-    binary_entropy,
+    _binary_entropy,
+    _entropy,
     concurrence_pure,
     convex_roof_upper_bound,
     eof_from_squared_concurrence,
     eof_pure,
     eof_two_qubit_mixed,
-    von_neumann_entropy,
     wootters_concurrence,
 )
 from entmono.states import (
@@ -46,29 +46,30 @@ def _bell():
 
 
 def test_binary_entropy_endpoints_and_center():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert math.copysign(1.0, binary_entropy(1.0)) > 0  # no -0.0 leaking out
-    assert abs(binary_entropy(0.5) - 1.0) < 1e-15
-    assert abs(binary_entropy(2 / 3) - H_TWO_THIRDS) < 1e-14
+    assert _binary_entropy(0.0) == 0.0
+    assert _binary_entropy(1.0) == 0.0
+    assert math.copysign(1.0, _binary_entropy(1.0)) > 0  # no -0.0 leaking out
+    assert abs(_binary_entropy(0.5) - 1.0) < 1e-15
+    assert abs(_binary_entropy(2 / 3) - H_TWO_THIRDS) < 1e-14
 
 
 def test_binary_entropy_arrays_and_domain():
-    vals = binary_entropy(np.array([0.0, 0.5, 1.0]))
+    vals = _binary_entropy(np.array([0.0, 0.5, 1.0]))
     np.testing.assert_allclose(vals, [0.0, 1.0, 0.0], atol=1e-15)
-    assert binary_entropy(-1e-11) == 0.0  # inside tolerance, clipped
+    # the domain check sits in front of the kernel, in eof_from_squared_concurrence
+    assert eof_from_squared_concurrence(-1e-11) == 0.0  # inside tolerance, clipped
     with pytest.raises(ValueError):
-        binary_entropy(-1e-3)
+        eof_from_squared_concurrence(-1e-3)
     with pytest.raises(ValueError):
-        binary_entropy(1.001)
+        eof_from_squared_concurrence(1.001)
     with pytest.raises(ValueError):
-        binary_entropy(np.array([0.5, np.nan]))
+        eof_from_squared_concurrence(np.array([0.5, np.nan]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(0.0, 1.0))
 def test_binary_entropy_symmetry(p):
-    assert abs(binary_entropy(p) - binary_entropy(1.0 - p)) < 1e-12
+    assert abs(_binary_entropy(p) - _binary_entropy(1.0 - p)) < 1e-12
 
 
 def test_eof_curve_values():
@@ -87,17 +88,22 @@ def test_eof_curve_monotone(x, y):
     assert eof_from_squared_concurrence(hi) >= eof_from_squared_concurrence(lo) - 1e-12
 
 
+def _von_neumann_entropy(rho):
+    """The entropy kernel on one Hermitian matrix, in bits."""
+    return _entropy(np.asarray(rho, dtype=complex)[None])[0]
+
+
 def test_von_neumann_entropy():
-    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
-    assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
-    assert abs(von_neumann_entropy(np.diag([2 / 3, 1 / 3])) - H_TWO_THIRDS) < 1e-12
+    assert _von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
+    assert abs(_von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
+    assert abs(_von_neumann_entropy(np.diag([2 / 3, 1 / 3])) - H_TWO_THIRDS) < 1e-12
 
 
 def test_von_neumann_entropy_basis_invariant():
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    assert abs(von_neumann_entropy(q @ rho @ q.conj().T) - von_neumann_entropy(rho)) < 1e-10
+    assert abs(_von_neumann_entropy(q @ rho @ q.conj().T) - _von_neumann_entropy(rho)) < 1e-10
 
 
 def test_concurrence_pure_known_states():
@@ -180,7 +186,7 @@ def test_eof_pure():
     assert abs(eof_pure(w_state(3), (0,)) - H_TWO_THIRDS) < 1e-12
     for seed in (5, 6):
         psi = haar_random_pure(3, SeededSampler(seed))
-        expect = von_neumann_entropy(reduced_state(psi, (0,)))
+        expect = _von_neumann_entropy(reduced_state(psi, (0,)))
         assert abs(eof_pure(psi, (0,)) - expect) < 1e-12
 
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import w_class_state
 
-from entmono.harness import CampaignConfig, campaign_state, run_campaign
+from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import reduced_state
 from entmono.measures import (
     concurrence_pure,
@@ -20,16 +22,17 @@ from entmono.monogamy import (
     BoundKind,
     PartitionSpec,
     ProfileBlock,
+    _coefficients,
     _decide,
     _evaluate_batch,
-    bound_coefficients,
     evaluate,
     family_kinds,
     profile,
     profile_batch,
     residual_sweep,
 )
-from entmono.states import SeededSampler, basis_state, generalized_schmidt, ghz_state, w_state
+from entmono.states import (SeededSampler, basis_state, generalized_schmidt, ghz_state,
+                            haar_random_pure, w_state)
 
 FLAT = (math.sqrt(5.0) / 5.0,) * 5
 C_CUT_FLAT = 2.0 * math.sqrt(3.0) / 5.0  # focus-rest concurrence of the flat state
@@ -154,6 +157,56 @@ def test_evaluate_batch_rows_equal_batches_of_one(n):
                     assert whole.decision.m_used[s] == decided.m_used[0]
 
 
+_PROFILED_STATES = st.tuples(st.integers(3, 6), st.sampled_from(["haar", "w-class"]),
+                             st.integers(0, 10 ** 6))
+
+
+def _profiled_state(n, kind, seed):
+    """A Haar state, or a W-class state, whose pair concurrences are all nonzero."""
+    return haar_random_pure(n, SeededSampler(seed)) if kind == "haar" else w_class_state(n, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(state=_PROFILED_STATES, data=st.data())
+def test_profile_permuting_rest_permutes_pairs_exactly(state, data):
+    n = state[0]
+    psi = _profiled_state(*state)
+    focus = data.draw(st.integers(0, n - 1))
+    rest = tuple(q for q in range(n) if q != focus)
+    order = tuple(data.draw(st.permutations(rest)))
+    base = profile(psi, PartitionSpec(focus, rest))
+    moved = profile(psi, PartitionSpec(focus, order))
+    index = [rest.index(q) for q in order]
+    assert moved.c_pair == tuple(base.c_pair[i] for i in index)
+    assert moved.e_pair == tuple(base.e_pair[i] for i in index)
+    assert moved.c_focus_rest == base.c_focus_rest
+    assert moved.e_focus_rest == base.e_focus_rest
+
+
+@settings(max_examples=50, deadline=None)
+@given(state=_PROFILED_STATES, data=st.data(),
+       angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4))
+def test_profile_is_invariant_under_a_local_unitary(state, data, angles):
+    n = state[0]
+    psi = _profiled_state(*state)
+    qubit = data.draw(st.integers(0, n - 1))
+    phase, a, b, c = angles  # U = e^{i phase} Rz(a) Ry(b) Rz(c)
+    rz = [np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)]) for t in (a, c)]
+    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]])
+    u = np.exp(1j * phase) * rz[0] @ ry @ rz[1]
+    turned = np.moveaxis(np.tensordot(u, psi.reshape([2] * n), axes=([1], [qubit])), 0, qubit)
+    base, moved = profile(psi), profile(turned.reshape(-1))
+    assert moved.c_tail.count(None) == base.c_tail.count(None)
+    before = [base.c_focus_rest, base.e_focus_rest, *base.c_pair, *base.e_pair,
+              *(t for t in base.c_tail if t is not None)]
+    after = [moved.c_focus_rest, moved.e_focus_rest, *moved.c_pair, *moved.e_pair,
+             *(t for t in moved.c_tail if t is not None)]
+    # Haar states move by about 1e-15. A W-class pair reduction has a degenerate
+    # spin-flip spectrum, and _wootters takes square roots of its rounding-level
+    # eigenvalues, which moves C(A,B_i) by up to about 3e-8 after a rotation
+    np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-7)
+
+
 def test_profile_validates_only_at_the_boundary():
     with pytest.raises(ValueError, match="non-finite"):
         profile(np.full(8, np.nan))
@@ -171,51 +224,58 @@ def test_profile_respects_partition_order():
     assert abs(swapped.c_focus_rest - 1.0) < 1e-12
 
 
+def _coeffs(bound, alpha, parties, m=None):
+    """The pair coefficients of a lower family's right-hand side at one split index."""
+    return _coefficients(_FAMILIES[bound], alpha, parties - 1, m)
+
+
 def test_coefficients_unit_families():
-    np.testing.assert_array_equal(bound_coefficients(BoundId.CKW, 2.0, 4), np.ones(3))
-    np.testing.assert_array_equal(bound_coefficients(BoundId.ALPHA_POWER, 3.0, 5), np.ones(4))
-    np.testing.assert_array_equal(bound_coefficients(BoundId.UPPER_SUM, -1.0, 3), np.ones(2))
-    np.testing.assert_allclose(bound_coefficients(BoundId.UPPER_MEAN, -1.0, 4), np.full(3, 1 / 3))
+    np.testing.assert_array_equal(_coeffs(BoundId.CKW, 2.0, 4), np.ones(3))
+    np.testing.assert_array_equal(_coeffs(BoundId.ALPHA_POWER, 3.0, 5), np.ones(4))
+    # the upper families' coefficients show in evaluate's rhs: unit, and 1/(N-1)
+    for bound, n, coeffs in ((BoundId.UPPER_SUM, 3, np.ones(2)),
+                             (BoundId.UPPER_MEAN, 4, np.full(3, 1 / 3))):
+        prof = profile(w_class_state(n, 0))
+        rep = evaluate(prof, BoundKind(bound, -1.0))
+        np.testing.assert_allclose(rep.rhs, coeffs @ np.array(prof.c_pair) ** -1.0, rtol=1e-14)
 
 
 def test_coefficients_tight_families():
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_TRIPARTITE, 3.0, 3), [1.0, 1.5])
+        _coeffs(BoundId.TIGHT_TRIPARTITE, 3.0, 3), [1.0, 1.5])
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_ORDERED, 3.0, 5), [1.0, 1.5, 2.25, 3.375])
+        _coeffs(BoundId.TIGHT_ORDERED, 3.0, 5), [1.0, 1.5, 2.25, 3.375])
     t = 2.0 / math.sqrt(2.0)
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.EOF_TIGHT_ORDERED, 2.0, 4), [1.0, t, t * t])
+        _coeffs(BoundId.EOF_TIGHT_ORDERED, 2.0, 4), [1.0, t, t * t])
     with pytest.raises(ValueError):
-        bound_coefficients(BoundId.TIGHT_TRIPARTITE, 2.0, 4)
+        evaluate(profile(w_state(4)), BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0))
 
 
 def test_coefficients_split_structure():
     r = 1.5  # alpha = 3
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 4, m=1), [1.0, r ** 2, r])
+        _coeffs(BoundId.TIGHT_SPLIT, 3.0, 4, m=1), [1.0, r ** 2, r])
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 5, m=1), [1.0, r ** 2, r ** 2, r])
+        _coeffs(BoundId.TIGHT_SPLIT, 3.0, 5, m=1), [1.0, r ** 2, r ** 2, r])
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 5, m=2), [1.0, r, r ** 3, r ** 2])
+        _coeffs(BoundId.TIGHT_SPLIT, 3.0, 5, m=2), [1.0, r, r ** 3, r ** 2])
     np.testing.assert_allclose(
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 6, m=3),
+        _coeffs(BoundId.TIGHT_SPLIT, 3.0, 6, m=3),
         [1.0, r, r ** 2, r ** 4, r ** 3])
     with pytest.raises(ValueError):
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 4, m=2)
-    with pytest.raises(ValueError):
-        bound_coefficients(BoundId.TIGHT_SPLIT, 3.0, 4)
+        evaluate(profile(w_state(4)), BoundKind(BoundId.TIGHT_SPLIT, 3.0, m=2))
 
 
 def test_tight_coefficients_dominate_unit_baseline():
     # pointwise coefficient dominance implies rhs dominance on any profile
     for alpha in (2.0, 2.5, 4.0):
-        assert bound_coefficients(BoundId.TIGHT_ORDERED, alpha, 5).min() >= 1.0 - 1e-15
+        assert _coeffs(BoundId.TIGHT_ORDERED, alpha, 5).min() >= 1.0 - 1e-15
         for m in (1, 2):
-            assert bound_coefficients(BoundId.TIGHT_SPLIT, alpha, 5, m=m).min() >= 1.0 - 1e-15
+            assert _coeffs(BoundId.TIGHT_SPLIT, alpha, 5, m=m).min() >= 1.0 - 1e-15
     for alpha in (ALPHA_MIN_EOF, 2.0, 3.0):
-        assert bound_coefficients(BoundId.EOF_TIGHT_ORDERED, alpha, 5).min() >= 1.0 - 1e-15
-        assert bound_coefficients(BoundId.EOF_TIGHT_SPLIT, alpha, 5, m=2).min() >= 1.0 - 1e-15
+        assert _coeffs(BoundId.EOF_TIGHT_ORDERED, alpha, 5).min() >= 1.0 - 1e-15
+        assert _coeffs(BoundId.EOF_TIGHT_SPLIT, alpha, 5, m=2).min() >= 1.0 - 1e-15
 
 
 def test_tripartite_lemma_on_flat_state():

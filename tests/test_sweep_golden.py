@@ -1,7 +1,9 @@
 """Residual-curve CSVs from `example` and `sweep`, compared as exact strings.
 
 Each file under tests/data/sweeps/ is the CLI output for one case below,
-recorded before the residual curves were evaluated by the batched kernel.
+recorded before the residual curves were evaluated by the batched kernel,
+except that example2-overflow was re-recorded when a point whose power
+overflows became a NaN residual instead of -inf.
 The cases cover exact alpha = 2.0 and alpha = -1.0 grid points, a split
 family with a pinned and a free m, EoF grids, dropped pairs in the upper
 families (none, some and all), a negative-power grid that overflows, and 3
@@ -16,7 +18,9 @@ import pytest
 
 from conftest import w_class_state
 
-from entmono.harness import campaign_state, main, save_state_file
+from entmono.engine import campaign_state
+from entmono.harness import main
+from entmono.statefile import save_state_file
 from entmono.states import basis_state, w_state
 
 SWEEPS = Path(__file__).parent / "data" / "sweeps"
