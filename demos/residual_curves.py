@@ -31,8 +31,8 @@ for name, state, tight, base, grid in scenarios:
     out = HERE / f"residuals_{name}.csv"
     out.write_text(sweep.to_csv())
     gap = [b - a for a, b in zip(sweep.y1, sweep.y2)]
-    print(f"{name}: C(A|rest) = {prof.c_focus_rest:.6f}, pairs = "
-          f"{tuple(round(c, 6) for c in prof.c_pair)}")
+    print(f"{name}: C(A|rest) = {prof.c_focus[0]:.6f}, pairs = "
+          f"{tuple(round(c, 6) for c in prof.c_pair[0].tolist())}")
     print(f"  {tight.value} vs {base.value} on {len(grid)} powers "
           f"[{grid[0]:.4g}, {grid[-1]:.4g}]")
     print(f"  y1 range [{min(sweep.y1):.6f}, {max(sweep.y1):.6f}], "

@@ -30,7 +30,6 @@ from .monogamy import (
     BoundId,
     BoundKind,
     BoundReport,
-    PairwiseProfile,
     PartitionSpec,
     evaluate,
     profile,
@@ -61,7 +60,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "MAX_QUBITS",
-    "PairwiseProfile",
     "PartitionSpec",
     "SeededSampler",
     "alpha_grid",

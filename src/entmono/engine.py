@@ -35,6 +35,8 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for n in self.qubit_counts:
             if not 3 <= n <= MAX_QUBITS:
                 raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -33,6 +34,7 @@ from .monogamy import (
     PartitionSpec,
     check_split_index,
     family_kinds,
+    known_tails,
     profile,
     profile_batch,
     residual_sweep,
@@ -96,10 +98,10 @@ def cmd_example(args) -> int:
     prof = profile(state)
     sweep = residual_sweep(prof, tight, base, grid)
     print(f"# example {args.id}: {label}", file=sys.stderr)
-    print(f"# C(A|rest) = {prof.c_focus_rest:.12g}  pairs = "
-          f"{[round(c, 12) for c in prof.c_pair]}", file=sys.stderr)
-    print(f"# E(A|rest) = {prof.e_focus_rest:.12g}  pairs = "
-          f"{[round(e, 12) for e in prof.e_pair]}", file=sys.stderr)
+    print(f"# C(A|rest) = {prof.c_focus[0]:.12g}  pairs = "
+          f"{[round(c, 12) for c in prof.c_pair[0].tolist()]}", file=sys.stderr)
+    print(f"# E(A|rest) = {prof.e_focus[0]:.12g}  pairs = "
+          f"{[round(e, 12) for e in prof.e_pair[0].tolist()]}", file=sys.stderr)
     print(f"# {sweep.tightened.value} vs {sweep.baseline.value}: "
           f"{len(grid)} grid points in [{grid[0]:.6g}, {grid[-1]:.6g}], "
           f"applicable={sweep.applicable_tightened}", file=sys.stderr)
@@ -174,10 +176,10 @@ def cmd_measure(args) -> int:
     part.validate(loaded.num_qubits)
     pure = _as_pure(loaded)
     if pure is not None:
-        prof = profile_batch(pure[None], part).rows()[0]
-        focus = (prof.c_focus_rest, prof.e_focus_rest)
-        pairs = (list(prof.c_pair), list(prof.e_pair))
-        tails = list(prof.c_tail)
+        prof = profile_batch(pure[None], part)
+        focus = (prof.c_focus.tolist()[0], prof.e_focus.tolist()[0])
+        pairs = (prof.c_pair[0].tolist(), prof.e_pair[0].tolist())
+        tails = known_tails(prof)
         note = ("tail concurrences of mixed reductions have no closed form"
                 if None in tails else "")
     else:
@@ -209,7 +211,7 @@ def cmd_sweep(args) -> int:
     part = _partition_from_args(args, loaded.num_qubits)
     part.validate(loaded.num_qubits)
     grid = _grid_from_args(args, None)
-    prof = profile_batch(pure[None], part).rows()[0]
+    prof = profile_batch(pure[None], part)
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)
     if sweep.applicable_tightened is not True:
         print(f"# warning: {sweep.tightened.value} applicability is "
@@ -282,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default=None, help="CSV path (default stdout)")
     sw.set_defaults(func=cmd_sweep)
 
+    # argparse takes only -\d+ and -\d*\.\d+ for negative numbers, and -1e3 for an
+    # unknown option; no option here starts with "-" and a digit (or ".digit")
+    for each in (parser, ex, ver, mea, sw):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

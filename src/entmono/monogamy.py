@@ -44,9 +44,9 @@ Ordering conditions depend on the shape and split index only, so _decide
 settles them once per block as (S, N-2) verdicts that every power, and
 every family of the shape, shares. residual_sweep runs the kernel once
 per bound over its whole grid, the campaign once per kind over a block of
-samples, and evaluate on a batch of one. Each row is bit-identical to a
-batch of one, and to scalar arithmetic on that row, because the kernel
-keeps four rules:
+samples, and evaluate on the one-row ProfileBlock that profile returns.
+Each row is bit-identical to a batch of one, and to scalar arithmetic on
+that row, because the kernel keeps four rules:
 
   dot product   rhs = coeffs . values^a is a stack of 1-D dot products,
                 (coeffs[:, None, :] @ powered[:, :, None])[:, 0, 0], which
@@ -116,6 +116,15 @@ class _Family(NamedTuple):
             return abs(alpha - lo) <= POWER_ATOL
         return lo - POWER_ATOL <= alpha < hi
 
+    def check_power(self, bound: BoundId, alpha: float) -> None:
+        """Reject a non-finite alpha, or one outside powers, naming the bound."""
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha}")
+        if not self.allows(alpha):
+            lo, hi = self.powers
+            need = f"alpha = {lo:g}" if lo == hi else f"{lo:g} <= alpha < {hi:g}"
+            raise ValueError(f"{bound.value} requires {need}, got {alpha}")
+
 
 _N3_UP = range(3, MAX_QUBITS + 1)
 _N4_UP = range(4, MAX_QUBITS + 1)
@@ -151,13 +160,8 @@ class BoundKind:
     def __post_init__(self):
         object.__setattr__(self, "id", BoundId(self.id))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
         family = _FAMILIES[self.id]
-        if not family.allows(self.alpha):
-            lo, hi = family.powers
-            need = f"alpha = {lo:g}" if lo == hi else f"{lo:g} <= alpha < {hi:g}"
-            raise ValueError(f"{self.id.value} requires {need}, got {self.alpha}")
+        family.check_power(self.id, self.alpha)
         if self.m is not None:
             if family.shape != "split":
                 raise ValueError(f"{self.id.value} does not take a split index m")
@@ -198,14 +202,6 @@ def _split_only(bound: BoundId, m: int | None) -> int | None:
     return m if _FAMILIES[bound].shape == "split" else None
 
 
-def _family_at(kind: BoundKind, num_parties: int) -> _Family:
-    """The family of a kind, after checking that the kind fits num_parties."""
-    if not kind.fits(num_parties):
-        pinned = "" if kind.m is None else f" with m = {kind.m}"
-        raise ValueError(f"{kind.id.value}{pinned} does not apply to {num_parties} parties")
-    return _FAMILIES[kind.id]
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """Focus qubit plus the ordered remaining single-qubit parties."""
@@ -229,49 +225,18 @@ class PartitionSpec:
             raise ValueError("at least three parties are required")
 
 
-@dataclass(frozen=True)
-class PairwiseProfile:
-    """Measure values a monogamy bound consumes.
-
-    c_pair[i] and e_pair[i] refer to the pair (A, B_{i+1}); c_tail[i] is
-    C(A|B_{i+2}..B_{N-1}). Tail entries are exact only when a single party
-    remains (a two-qubit reduction); deeper tails of mixed reductions have
-    no closed form and are stored as None.
-    """
-
-    num_parties: int
-    c_focus_rest: float
-    c_pair: tuple
-    c_tail: tuple
-    e_focus_rest: float
-    e_pair: tuple
-
-
 class ProfileBlock(NamedTuple):
-    """Profiles of S states as arrays, one row per state.
+    """Profiles of S states as arrays, one row per state; the one profile type.
 
     c_pair[s, i] and e_pair[s, i] refer to the pair (A, B_{i+1}) of row s.
+    profile returns one row, the size evaluate and residual_sweep take.
+    Tails are not stored: _tails derives them from c_pair.
     """
 
     c_focus: np.ndarray  # (S,) C(A|rest)
     c_pair: np.ndarray   # (S, N-1)
     e_focus: np.ndarray  # (S,) E(A|rest)
     e_pair: np.ndarray   # (S, N-1)
-
-    @classmethod
-    def of(cls, prof: PairwiseProfile) -> "ProfileBlock":
-        """A block of one profile."""
-        return cls(np.array([prof.c_focus_rest]), np.array([prof.c_pair]),
-                   np.array([prof.e_focus_rest]), np.array([prof.e_pair]))
-
-    def rows(self) -> list:
-        """One PairwiseProfile per row."""
-        n = self.c_pair.shape[1] + 1
-        tails = [tuple(None if math.isnan(t) else t for t in row)
-                 for row in _tails(self.c_pair).tolist()]
-        return [PairwiseProfile(n, cf, tuple(cp), ct, ef, tuple(ep))
-                for cf, cp, ct, ef, ep in zip(self.c_focus.tolist(), self.c_pair.tolist(), tails,
-                                              self.e_focus.tolist(), self.e_pair.tolist())]
 
 
 @dataclass(frozen=True)
@@ -310,17 +275,17 @@ class BoundReport:
     note: str = ""
 
 
-def profile(psi, partition: PartitionSpec | None = None) -> PairwiseProfile:
+def profile(psi, partition: PartitionSpec | None = None) -> ProfileBlock:
     """Measure everything the bound evaluators need from a pure state.
 
     The state and the partition are validated here, once; the state is then
-    profiled as a batch of one by profile_batch.
+    profiled as a batch of one by profile_batch, and that block is returned.
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
     part = partition if partition is not None else PartitionSpec.default(n)
     part.validate(n)
-    return profile_batch(vec[None], part).rows()[0]
+    return profile_batch(vec[None], part)
 
 
 def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> ProfileBlock:
@@ -349,6 +314,22 @@ def _tails(c_pair: np.ndarray) -> np.ndarray:
     tails = np.full((len(c_pair), c_pair.shape[1] - 1), np.nan)
     tails[:, -1] = c_pair[:, -1]
     return tails
+
+
+def known_tails(block: ProfileBlock) -> list:
+    """The tails of a one-row block as Python floats, None where one has no closed form."""
+    return [None if math.isnan(t) else t for t in _tails(block.c_pair)[0].tolist()]
+
+
+def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
+    """The family of a kind, after checking that block has one row and the kind fits it."""
+    if len(block.c_pair) != 1:
+        raise ValueError(f"expected a one-row profile block, got {len(block.c_pair)} rows")
+    num_parties = block.c_pair.shape[1] + 1
+    if not kind.fits(num_parties):
+        pinned = "" if kind.m is None else f" with m = {kind.m}"
+        raise ValueError(f"{kind.id.value}{pinned} does not apply to {num_parties} parties")
+    return _FAMILIES[kind.id]
 
 
 def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
@@ -531,10 +512,9 @@ def evaluate_block(block: ProfileBlock, kinds) -> list:
     return verdicts
 
 
-def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
-    """Evaluate one bound against a profile, reporting slack and verdict."""
-    family = _family_at(kind, prof.num_parties)
-    block = ProfileBlock.of(prof)
+def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
+    """Evaluate one bound against a one-row profile block, reporting slack and verdict."""
+    family = _family_on(kind, block)
     v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m),
                         (kind.alpha,))
     lhs, rhs, slack = float(v.lhs[0, 0]), float(v.rhs[0, 0]), float(v.slack[0, 0])
@@ -550,10 +530,10 @@ def evaluate(prof: PairwiseProfile, kind: BoundKind) -> BoundReport:
                            strict=bool(v.strict[0, 0]), note=note)
     m_used = None if v.decision.m_used is None else int(v.decision.m_used[0])
     relations = (() if family.shape == "unit" else
-                 _relations(family.shape, prof.num_parties, m_used))
-    checks = tuple(ConditionCheck(i, prof.c_pair[i - 1], prof.c_tail[i - 1], rel,
-                                  _VERDICT[code])
-                   for i, (rel, code) in enumerate(zip(relations, v.decision.verdicts[0]), 1))
+                 _relations(family.shape, block.c_pair.shape[1] + 1, m_used))
+    rows = zip(block.c_pair[0].tolist(), known_tails(block), relations, v.decision.verdicts[0])
+    checks = tuple(ConditionCheck(i, pair, tail, rel, _VERDICT[code])
+                   for i, (pair, tail, rel, code) in enumerate(rows, 1))
     return BoundReport(kind, "lower", lhs, rhs, slack, applicable, conditions=checks,
                        m_used=m_used, note=note)
 
@@ -587,9 +567,9 @@ class AlphaSweep:
         return "\n".join(lines) + "\n"
 
 
-def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
+def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
                    m: int | None = None) -> AlphaSweep:
-    """Evaluate a tightened/baseline bound pair across an alpha grid.
+    """Evaluate a tightened/baseline bound pair across an alpha grid on a one-row block.
 
     Every grid point must be valid for both bound families. Ordering
     conditions do not involve alpha and are decided once per bound; an
@@ -600,21 +580,20 @@ def residual_sweep(prof: PairwiseProfile, tightened, baseline, alphas,
     if not grid:
         raise ValueError("empty alpha grid")
     check_split_index((tightened, baseline), m)
-    ids = (BoundId(tightened), BoundId(baseline))
-    families = None
-    for a in grid:  # the power rule at every point, the fit rule at the first
-        kinds = [BoundKind(b, a, _split_only(b, m)) for b in ids]
-        families = families or [_family_at(kind, prof.num_parties) for kind in kinds]
-    block = ProfileBlock.of(prof)
+    # the kinds at grid[0] carry the m and fit checks; later points need the power rule
+    kinds = [BoundKind(b, grid[0], _split_only(BoundId(b), m)) for b in (tightened, baseline)]
+    families = [_family_on(kind, block) for kind in kinds]
+    for a in grid[1:]:
+        for kind, family in zip(kinds, families):
+            family.check_power(kind.id, a)
     curves, applicable = [], []
-    for bound, family in zip(ids, families):
-        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape,
-                                                   _split_only(bound, m)), grid)
+    for kind, family in zip(kinds, families):
+        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), grid)
         ok = ~np.isnan(v.slack[0])
         y = np.full(len(grid), np.nan)  # NaN where the point is not verifiable
         y[ok] = v.lhs[0, ok] - v.rhs[0, ok]  # not -slack, which turns +0.0 into -0.0
         curves.append(tuple(y.tolist()))
         applicable.append(v.applicable[0])
-    return AlphaSweep(grid, curves[0], curves[1], ids[0], ids[1],
+    return AlphaSweep(grid, curves[0], curves[1], kinds[0].id, kinds[1].id,
                       _VERDICT[_fold(applicable[0])], _VERDICT[_fold(applicable[1])],
                       int(np.count_nonzero(applicable[0] == HOLDS)))

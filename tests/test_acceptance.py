@@ -47,12 +47,12 @@ def test_criterion_1_tripartite_residual_curves():
     try:
         started = time.perf_counter()
         prof = profile(generalized_schmidt(FLAT))
-        assert abs(prof.c_focus_rest - 2 * math.sqrt(3) / 5) < 1e-10
-        assert all(abs(c - 0.4) < 1e-10 for c in prof.c_pair)
+        assert abs(prof.c_focus[0] - 2 * math.sqrt(3) / 5) < 1e-10
+        assert all(abs(c - 0.4) < 1e-10 for c in prof.c_pair[0])
         grid = alpha_grid(2.0, 5.0, 0.05)
         sweep = residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, grid)
         assert sweep.applicable_tightened is True
-        c0, cp = prof.c_focus_rest, prof.c_pair[0]
+        c0, cp = prof.c_focus[0].item(), prof.c_pair[0, 0].item()
         for a, y1, y2 in zip(sweep.alphas, sweep.y1, sweep.y2):
             assert abs(y1 - (c0 ** a - (1 + a / 2) * cp ** a)) < 1e-10, a
             assert abs(y2 - (c0 ** a - 2 * cp ** a)) < 1e-10, a
@@ -74,7 +74,7 @@ def test_criterion_2_negative_power_curves():
         grid = alpha_grid(-5.0, -0.05, 0.05)
         sweep = residual_sweep(prof, BoundId.UPPER_MEAN, BoundId.UPPER_SUM, grid)
         assert sweep.applicable_tightened is True
-        c0, cp = prof.c_focus_rest, prof.c_pair[0]
+        c0, cp = prof.c_focus[0].item(), prof.c_pair[0, 0].item()
         for a, y1, y2 in zip(sweep.alphas, sweep.y1, sweep.y2):
             assert abs(y1 - (c0 ** a - cp ** a)) < 1e-10, a
             assert abs(y2 - (c0 ** a - 2 * cp ** a)) < 1e-10, a
@@ -94,12 +94,12 @@ def test_criterion_3_eof_residual_curves():
     ok = False
     try:
         prof = profile(w_state(3))
-        assert abs(prof.e_pair[0] - 0.55005) < 0.005
-        assert abs(prof.e_focus_rest - 0.91830) < 0.005
+        assert abs(prof.e_pair[0, 0] - 0.55005) < 0.005
+        assert abs(prof.e_focus[0] - 0.91830) < 0.005
         grid = alpha_grid(SQRT2, 4.0, 0.05)
         sweep = residual_sweep(prof, BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_ALPHA_POWER, grid)
         assert sweep.applicable_tightened is True
-        e0, ep = prof.e_focus_rest, prof.e_pair[0]
+        e0, ep = prof.e_focus[0].item(), prof.e_pair[0, 0].item()
         for a, y1, y2 in zip(sweep.alphas, sweep.y1, sweep.y2):
             assert abs(y1 - (e0 ** a - (1 + a / SQRT2) * ep ** a)) < 1e-10, a
             assert abs(y2 - (e0 ** a - 2 * ep ** a)) < 1e-10, a

@@ -124,6 +124,8 @@ def test_campaign_config_validation():
         run_campaign(CampaignConfig(5, (3, 3), (kind,), 0))
     with pytest.raises(ValueError, match="repeat"):
         run_campaign(CampaignConfig(5, (3,), (kind, BoundKind(BoundId.CKW, 2.0)), 0))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_campaign(CampaignConfig(5, (3,), (kind,), -1))
 
 
 def test_run_campaign_counters_and_replay():
@@ -240,6 +242,10 @@ def test_cli_example_grid_override(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "applicable=False" in err
     assert "upper-mean is applicable at 1 of 2 grid points" in err
+    # a negative value in exponent form is a value, not an unknown option
+    assert main(["example", "--id", "2", "--alpha-min", "-1e3", "--alpha-max", "-1",
+                 "--alpha-step", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 1001
 
 
 def test_cli_example_two_is_strictly_negative(tmp_path):
@@ -264,6 +270,15 @@ def test_cli_measure_pure(tmp_path):
     np.testing.assert_allclose(data["concurrence"]["pairs"], [2 / 3, 2 / 3], atol=1e-10)
     assert data["concurrence"]["tails"] == data["concurrence"]["pairs"][-1:]
     assert abs(data["eof"]["pairs"][0] - 0.5500477595827574) < 1e-12
+    assert data["note"] == ""
+    # at five parties only the last tail has a closed form
+    save_state_file(str(state), amplitudes=w_state(5))
+    assert main(["measure", "--state", str(state), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    pairs = data["concurrence"]["pairs"]
+    np.testing.assert_allclose(pairs, [0.4] * 4, atol=1e-10)
+    assert data["concurrence"]["tails"] == [None, None, pairs[-1]]
+    assert data["note"] == "tail concurrences of mixed reductions have no closed form"
 
 
 def test_cli_measure_rank_one_density_as_pure(tmp_path):
@@ -421,6 +436,7 @@ def test_cli_verify_default_battery_shrinks_quietly(tmp_path):
     ["--qubits", "4", "--bound", "tight-split", "--m", "2"],
     ["--bound", "ckw", "--m", "2"],
     ["--m", "1"],
+    ["--seed", "-1"],
 ])
 def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     def no_sampling(*args):

@@ -44,6 +44,11 @@ def _bell_with_spectator():
     return np.kron(bell, basis_state(1, 0))
 
 
+def _reported_tails(prof):
+    """The tail values C(A|B_{i+1}..) that evaluate reports in its ordering conditions."""
+    return [c.tail_value for c in evaluate(prof, BoundKind(BoundId.TIGHT_ORDERED, 2.0)).conditions]
+
+
 def test_bound_kind_validation():
     with pytest.raises(ValueError):
         BoundKind(BoundId.CKW, 2.5)
@@ -80,16 +85,17 @@ def test_partition_spec():
 
 def test_profile_flat_schmidt_state():
     prof = profile(generalized_schmidt(FLAT))
-    assert prof.num_parties == 3
-    assert abs(prof.c_focus_rest - C_CUT_FLAT) < 1e-12
-    np.testing.assert_allclose(prof.c_pair, [C_PAIR_FLAT, C_PAIR_FLAT], atol=1e-12)
-    assert prof.c_tail == (prof.c_pair[-1],)
+    assert prof.c_pair.shape == (1, 2)
+    assert abs(prof.c_focus[0] - C_CUT_FLAT) < 1e-12
+    np.testing.assert_allclose(prof.c_pair[0], [C_PAIR_FLAT, C_PAIR_FLAT], atol=1e-12)
+    assert _reported_tails(prof) == prof.c_pair[0, -1:].tolist()
 
 
 def test_profile_tail_availability():
     prof = profile(campaign_state(0, 5, 0))
-    assert prof.c_tail[:2] == (None, None)
-    assert prof.c_tail[2] == prof.c_pair[-1]
+    tails = _reported_tails(prof)
+    assert tails[:2] == [None, None]
+    assert tails[2] == prof.c_pair[0, -1]
     with pytest.raises(ValueError):
         profile(basis_state(2, 0))
 
@@ -106,13 +112,12 @@ def test_profile_matches_public_measures(n, partition):
     for psi in states:
         prof = profile(psi, partition)
         part = partition or PartitionSpec.default(n)
-        assert prof.c_focus_rest == concurrence_pure(psi, (part.focus,))
-        assert prof.e_focus_rest == eof_pure(psi, (part.focus,))
-        pairs = tuple(wootters_concurrence(reduced_state(psi, (part.focus, b)))
-                      for b in part.rest)
-        assert prof.c_pair == pairs
-        assert prof.e_pair == tuple(eof_from_squared_concurrence(c * c) for c in pairs)
-        assert prof.c_tail == (None,) * (n - 3) + (pairs[-1],)
+        assert prof.c_focus.tolist() == [concurrence_pure(psi, (part.focus,))]
+        assert prof.e_focus.tolist() == [eof_pure(psi, (part.focus,))]
+        pairs = [wootters_concurrence(reduced_state(psi, (part.focus, b))) for b in part.rest]
+        assert prof.c_pair.tolist() == [pairs]
+        assert prof.e_pair.tolist() == [[eof_from_squared_concurrence(c * c) for c in pairs]]
+        assert _reported_tails(prof) == [None] * (n - 3) + [pairs[-1]]
 
 
 @pytest.mark.parametrize("n, partition", [
@@ -121,7 +126,10 @@ def test_profile_matches_public_measures(n, partition):
 def test_profile_batch_equals_profile_per_row(n, partition):
     block = [campaign_state(4, n, i) for i in range(5)] + [ghz_state(n), w_state(n)]
     part = partition or PartitionSpec.default(n)
-    assert profile_batch(np.stack(block), part).rows() == [profile(v, partition) for v in block]
+    whole = profile_batch(np.stack(block), part)
+    for s, psi in enumerate(block):
+        for got, want in zip(whole, profile(psi, partition)):
+            assert np.array_equal(got[s:s + 1], want)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -177,10 +185,10 @@ def test_profile_permuting_rest_permutes_pairs_exactly(state, data):
     base = profile(psi, PartitionSpec(focus, rest))
     moved = profile(psi, PartitionSpec(focus, order))
     index = [rest.index(q) for q in order]
-    assert moved.c_pair == tuple(base.c_pair[i] for i in index)
-    assert moved.e_pair == tuple(base.e_pair[i] for i in index)
-    assert moved.c_focus_rest == base.c_focus_rest
-    assert moved.e_focus_rest == base.e_focus_rest
+    assert np.array_equal(moved.c_pair, base.c_pair[:, index])
+    assert np.array_equal(moved.e_pair, base.e_pair[:, index])
+    assert np.array_equal(moved.c_focus, base.c_focus)
+    assert np.array_equal(moved.e_focus, base.e_focus)
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,11 +204,11 @@ def test_profile_is_invariant_under_a_local_unitary(state, data, angles):
     u = np.exp(1j * phase) * rz[0] @ ry @ rz[1]
     turned = np.moveaxis(np.tensordot(u, psi.reshape([2] * n), axes=([1], [qubit])), 0, qubit)
     base, moved = profile(psi), profile(turned.reshape(-1))
-    assert moved.c_tail.count(None) == base.c_tail.count(None)
-    before = [base.c_focus_rest, base.e_focus_rest, *base.c_pair, *base.e_pair,
-              *(t for t in base.c_tail if t is not None)]
-    after = [moved.c_focus_rest, moved.e_focus_rest, *moved.c_pair, *moved.e_pair,
-             *(t for t in moved.c_tail if t is not None)]
+    assert _reported_tails(moved).count(None) == _reported_tails(base).count(None)
+    before = [*base.c_focus, *base.e_focus, *base.c_pair[0], *base.e_pair[0],
+              *(t for t in _reported_tails(base) if t is not None)]
+    after = [*moved.c_focus, *moved.e_focus, *moved.c_pair[0], *moved.e_pair[0],
+             *(t for t in _reported_tails(moved) if t is not None)]
     # Haar states move by about 1e-15. A W-class pair reduction has a degenerate
     # spin-flip spectrum, and _wootters takes square roots of its rounding-level
     # eigenvalues, which moves C(A,B_i) by up to about 3e-8 after a rotation
@@ -214,14 +222,26 @@ def test_profile_validates_only_at_the_boundary():
     # may apply that tolerance again to the squared norm
     psi = w_state(3) * (1.0 + 0.9e-10)
     prof = profile(psi)
-    assert abs(prof.c_pair[0] - 2.0 / 3.0) < 1e-9
+    assert abs(prof.c_pair[0, 0] - 2.0 / 3.0) < 1e-9
 
 
 def test_profile_respects_partition_order():
     psi = _bell_with_spectator()
     swapped = profile(psi, PartitionSpec(0, (2, 1)))
-    np.testing.assert_allclose(swapped.c_pair, [0.0, 1.0], atol=1e-12)
-    assert abs(swapped.c_focus_rest - 1.0) < 1e-12
+    np.testing.assert_allclose(swapped.c_pair[0], [0.0, 1.0], atol=1e-12)
+    assert abs(swapped.c_focus[0] - 1.0) < 1e-12
+
+
+def test_evaluate_and_sweep_take_a_one_row_block():
+    block = profile_batch(np.stack([w_state(3), ghz_state(3)]), PartitionSpec.default(3))
+    for rows in (block, ProfileBlock(*(a[:0] for a in block))):
+        with pytest.raises(ValueError, match="one-row profile block"):
+            evaluate(rows, BoundKind(BoundId.CKW, 2.0))
+        with pytest.raises(ValueError, match="one-row profile block"):
+            residual_sweep(rows, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0,))
+    one = ProfileBlock(*(a[1:] for a in block))
+    assert evaluate(one, BoundKind(BoundId.CKW, 2.0)) == \
+        evaluate(profile(ghz_state(3)), BoundKind(BoundId.CKW, 2.0))
 
 
 def _coeffs(bound, alpha, parties, m=None):
@@ -237,7 +257,7 @@ def test_coefficients_unit_families():
                              (BoundId.UPPER_MEAN, 4, np.full(3, 1 / 3))):
         prof = profile(w_class_state(n, 0))
         rep = evaluate(prof, BoundKind(bound, -1.0))
-        np.testing.assert_allclose(rep.rhs, coeffs @ np.array(prof.c_pair) ** -1.0, rtol=1e-14)
+        np.testing.assert_allclose(rep.rhs, coeffs @ prof.c_pair[0] ** -1.0, rtol=1e-14)
 
 
 def test_coefficients_tight_families():
@@ -414,8 +434,8 @@ def test_eof_bounds_on_w_state():
     base = evaluate(prof, BoundKind(BoundId.EOF_ALPHA_POWER, ALPHA_MIN_EOF))
     assert abs(at_min.rhs - base.rhs) < 1e-12  # families coincide at sqrt(2)
     assert at_min.applicable is True
-    e = prof.e_pair[0]
-    expect = prof.e_focus_rest ** 2 - (1.0 + 2.0 / math.sqrt(2.0)) * e ** 2
+    e_focus, e = prof.e_focus[0].item(), prof.e_pair[0, 0].item()
+    expect = e_focus ** 2 - (1.0 + 2.0 / math.sqrt(2.0)) * e ** 2
     rep2 = evaluate(prof, BoundKind(BoundId.EOF_TIGHT_ORDERED, 2.0))
     assert abs((rep2.lhs - rep2.rhs) - expect) < 1e-12
 
@@ -505,6 +525,9 @@ def test_residual_sweep_validates_grid():
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, ())
     with pytest.raises(ValueError):
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (1.5,))
+    # a bad point inside the grid, named for the tightened bound, which is checked first
+    with pytest.raises(ValueError, match="tight-tripartite requires 2 <= alpha < inf, got 1.5"):
+        residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0, 1.5))
 
 
 def test_residual_sweep_rejects_an_unused_split_index():

@@ -1,0 +1,123 @@
+"""Compare the entmono CLI of two source trees on a fixed list of commands.
+
+Usage: python3 tools/cli_parity.py PARENT_SRC CHANGE_SRC
+
+Each command runs once as ``python -m entmono ...`` in a subprocess under
+PYTHONPATH=PARENT_SRC and once under PYTHONPATH=CHANGE_SRC. The exit code,
+stdout and stderr of the two runs are compared, with the elapsed seconds
+that ``verify`` prints on stderr masked. Every command that differs is
+printed, and the exit status is 1 if any does, else 0.
+
+The state files the commands read are written first, into a temporary
+directory, with numpy and json alone, so neither tree writes its own input.
+The list covers the three bundled examples, the -800 and -1e3 example grids,
+campaigns at several qubit counts and seeds (and a negative seed), and
+``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
+n = 3, 4, 5, 8, 12 and on one mixed state. It is a check of behaviour kept
+across a change, so a change that means to alter behaviour shows its
+commands here.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+QUBITS = (3, 4, 5, 8, 12)
+SWEEPS = (
+    ("tight-ordered", "alpha-power", "2", "5", "0.05"),
+    ("upper-mean", "upper-sum", "-5", "-0.05", "0.05"),
+    ("eof-tight-ordered", "eof-alpha-power", "1.5", "4", "0.02"),
+    ("tight-split", "eof-tight-split", "2", "4", "0.1"),
+)
+ELAPSED = re.compile(r"evaluations in \d+\.\d+s")
+
+
+def _amplitude_file(path: Path, vec: np.ndarray) -> None:
+    n = int(len(vec)).bit_length() - 1
+    payload = {"format_version": "1", "num_qubits": n,
+               "amplitudes": [[float(z.real), float(z.imag)] for z in vec]}
+    path.write_text(json.dumps(payload))
+
+
+def _state_files(folder: Path) -> list:
+    """Write the W, GHZ, Haar and mixed state files; return their paths."""
+    rng = np.random.default_rng(20170211)
+    paths = []
+    for n in QUBITS:
+        dim = 2 ** n
+        w = np.zeros(dim, complex)
+        w[[1 << k for k in range(n)]] = 1.0 / np.sqrt(n)
+        ghz = np.zeros(dim, complex)
+        ghz[[0, dim - 1]] = 1.0 / np.sqrt(2.0)
+        haar = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for name, vec in (("w", w), ("ghz", ghz), ("haar", haar / np.linalg.norm(haar))):
+            paths.append(folder / f"{name}{n}.json")
+            _amplitude_file(paths[-1], vec)
+    g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    paths.append(folder / "mixed3.json")
+    paths[-1].write_text(json.dumps({
+        "format_version": "1", "num_qubits": 3,
+        "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]}))
+    return paths
+
+
+def _commands(state_paths) -> list:
+    commands = [["example", "--id", str(i)] for i in (1, 2, 3)]
+    commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
+                  "--alpha-step", "799"],
+                 ["example", "--id", "2", "--alpha-min", "-1e3", "--alpha-max", "-1",
+                  "--alpha-step", "1"]]
+    for qubits in ("3", "4", "5", "3,4,5,8"):
+        for seed in ("0", "7"):
+            commands.append(["verify", "--samples", "300", "--qubits", qubits, "--seed", seed])
+    for seed in ("0", "7"):
+        commands.append(["verify", "--samples", "20", "--qubits", "4,8,12", "--bound", "ckw",
+                         "--bound", "tight-split", "--seed", seed])
+    commands.append(["verify", "--samples", "5", "--seed", "-1"])
+    for path in state_paths:
+        commands.append(["measure", "--state", str(path)])
+        for bound, baseline, lo, hi, step in SWEEPS:
+            commands.append(["sweep", "--state", str(path), "--bound", bound,
+                             "--baseline", baseline, "--alpha-min", lo, "--alpha-max", hi,
+                             "--alpha-step", step])
+    return commands
+
+
+def _run(src: str, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "entmono", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, ELAPSED.sub("evaluations in <t>s", done.stderr)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = (str(Path(a).resolve()) for a in args)
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
+        commands = _commands(_state_files(Path(folder)))
+        for command in commands:
+            before, after = _run(parent, command), _run(change, command)
+            if before != after:
+                differing += 1
+                fields = [name for name, b, a in zip(("exit code", "stdout", "stderr"),
+                                                     before, after) if b != a]
+                shown = " ".join(command).replace(folder + os.sep, "")
+                print(f"differs ({', '.join(fields)}): entmono {shown}")
+    print(f"{len(commands)} commands, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
