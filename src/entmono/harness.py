@@ -284,10 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default=None, help="CSV path (default stdout)")
     sw.set_defaults(func=cmd_sweep)
 
-    # argparse takes only -\d+ and -\d*\.\d+ for negative numbers, and -1e3 for an
-    # unknown option; no option here starts with "-" and a digit (or ".digit")
+    # argparse takes only -\d+ and -\d*\.\d+ for negative numbers, and -1e3 or -inf
+    # for an unknown option; no option here starts with "-" and a digit (or
+    # ".digit"), or is -inf, -infinity or -nan in any case
+    negative = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     for each in (parser, ex, ver, mea, sw):
-        each._negative_number_matcher = re.compile(r"^-\.?\d")
+        each._negative_number_matcher = negative
     return parser
 
 

@@ -43,24 +43,34 @@ split index on a ProfileBlock of S profiles and A powers, returning
 Ordering conditions depend on the shape and split index only, so _decide
 settles them once per block as (S, N-2) verdicts that every power, and
 every family of the shape, shares. residual_sweep runs the kernel once
-per bound over its whole grid, the campaign once per kind over a block of
-samples, and evaluate on the one-row ProfileBlock that profile returns.
-Each row is bit-identical to a batch of one, and to scalar arithmetic on
-that row, because the kernel keeps four rules:
+per bound over its whole grid; evaluate_block groups a campaign's kinds
+by family and split index and runs it once per group over all of the
+group's powers (split only past _POINTS_PER_CALL points); evaluate runs
+it on the one-row ProfileBlock that profile returns. Only scalar powers
+(the lhs, and a split family's two single coefficients) loop over the
+powers in Python. Each point is bit-identical to a batch of one at that
+power, and to scalar arithmetic on that row, because the kernel keeps
+four rules:
 
+  grid power    _grid_powers raises (S, k) values to every power at once,
+                values[:, None, :] ** alphas[None, :, None]; a power that
+                numpy's ndarray ** scalar hands to a faster ufunc (-1, 0,
+                0.5, 1, 2: reciprocal, square, sqrt, ...) is raised as
+                values ** alpha instead, whose bits np.power does not match
+  coefficients  _coefficient_table gives (A, k) coefficients per split
+                index, ratio ** arange as one broadcast array power and
+                the split family's ratio^(m+1) and ratio^m as scalar
+                powers; _coefficients is its one-row case
   dot product   rhs = coeffs . values^a is a stack of 1-D dot products,
-                (coeffs[:, None, :] @ powered[:, :, None])[:, 0, 0], which
-                is the same FMA chain as a 1-D coeffs @ values; V @ c,
-                np.dot, einsum and np.matvec sum in other orders
+                (coeffs[:, :, None, :] @ powered[..., None])[..., 0, 0],
+                the same FMA chain as a 1-D coeffs @ values; V @ c,
+                np.dot, einsum and np.matvec sum in other orders. An upper
+                family sums full rows with one .sum(axis=-1), a pairwise
+                sum per row; a row with a dropped pair sums its retained
+                terms alone, since padding with zeros would regroup a sum
+                of eight or more terms
   lhs           an np.float64 scalar power per element (libm pow), never
                 an array power, whose vectorised pow rounds differently
-  exponent      each power is raised as a Python scalar, one call per grid
-                point, so a = 2.0 takes numpy's exact squaring; an array
-                of exponents rounds differently
-  dropped pairs an upper family sums only the retained terms of a row
-                with a dropped pair, apart from the full rows: numpy's
-                pairwise sum groups eight or more terms by their count, so
-                padding with zeros would regroup it
 """
 
 import math
@@ -109,12 +119,15 @@ class _Family(NamedTuple):
     parties: range    # the party counts the bound is stated for
     defaults: tuple   # the powers a campaign checks when given no grid
 
-    def allows(self, alpha: float) -> bool:
-        """Whether alpha is in powers; lo and a fixed power count within POWER_ATOL."""
+    def allows(self, alpha):
+        """Whether alpha (a float, or elementwise an array) is in powers.
+
+        lo and a fixed power count within POWER_ATOL.
+        """
         lo, hi = self.powers
         if lo == hi:
             return abs(alpha - lo) <= POWER_ATOL
-        return lo - POWER_ATOL <= alpha < hi
+        return (lo - POWER_ATOL <= alpha) & (alpha < hi)
 
     def check_power(self, bound: BoundId, alpha: float) -> None:
         """Reject a non-finite alpha, or one outside powers, naming the bound."""
@@ -332,21 +345,28 @@ def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
     return _FAMILIES[kind.id]
 
 
-def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
-    """The pair coefficients of a lower family; a huge power overflows them to inf."""
+def _coefficient_table(family: _Family, alphas, k: int, m: int | None) -> np.ndarray:
+    """(A, k) pair coefficients of a lower family, one row per power; a huge power gives inf."""
     if family.shape == "unit":
-        return np.ones(k)
+        return np.ones((len(alphas), k))
     # the ratio is alpha over the least allowed power, so a tightened family
     # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
-    ratio = np.float64(alpha / family.powers[0])
+    ratios = np.array(alphas, float) / family.powers[0]
     if family.shape == "ordered":
-        return ratio ** np.arange(k)
-    # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
-    coeffs = np.empty(k)
-    coeffs[:m] = ratio ** np.arange(m)
-    coeffs[m:k - 1] = ratio ** (m + 1)
-    coeffs[k - 1] = ratio ** m
-    return coeffs
+        return ratios[:, None] ** np.arange(k)
+    # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m;
+    # the two single powers are scalar powers, as a one-row table raises them
+    table = np.empty((len(ratios), k))
+    table[:, :m] = ratios[:, None] ** np.arange(m)
+    single = _scalar_powers(ratios, (m + 1, m))
+    table[:, m:k - 1] = single[:, :1]
+    table[:, k - 1] = single[:, 1]
+    return table
+
+
+def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
+    """The pair coefficients of a lower family at one power: a one-row table."""
+    return _coefficient_table(family, (alpha,), k, m)[0]
 
 
 def _relations(shape: str, num_parties: int, m: int | None) -> tuple:
@@ -449,21 +469,33 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
                     strict, dropped, decision)
 
 
+# the exponents numpy's ndarray ** scalar raises by a faster ufunc (square,
+# reciprocal, sqrt, ...), whose bits can differ from np.power's
+_FAST_EXPONENTS = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+def _grid_powers(values: np.ndarray, alphas) -> np.ndarray:
+    """(S, A, k) powers of (S, k) values, each point as values ** alpha would raise it."""
+    alphas = np.array(alphas, float)
+    powered = values[:, None, :] ** alphas[None, :, None]
+    for j in np.flatnonzero((alphas[:, None] == _FAST_EXPONENTS).any(axis=1)):
+        powered[:, j] = values ** float(alphas[j])
+    return powered
+
+
 def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alphas) -> tuple:
     base, values = ((block.e_focus, block.e_pair) if family.measure == "E"
                     else (block.c_focus, block.c_pair))
     s, k = values.shape
-    splits = ([(None, slice(None))] if decision.m_used is None else
-              [(int(m), decision.m_used == m) for m in np.unique(decision.m_used)])
-    lhs = _scalar_powers(base, alphas)
-    rhs = np.empty((s, len(alphas)))
-    coeffs = np.empty((s, k))
-    for j, alpha in enumerate(alphas):
-        for m, rows in splits:
-            coeffs[rows] = _coefficients(family, alpha, k, m)
-        # a stack of 1-D dot products: the same FMA chain as coeffs @ values
-        rhs[:, j] = (coeffs[:, None, :] @ (values ** alpha)[:, :, None])[:, 0, 0]
-    return lhs, rhs
+    if decision.m_used is None:  # one table, broadcast over the rows
+        coeffs = _coefficient_table(family, alphas, k, None)[None]
+    else:
+        coeffs = np.empty((s, len(alphas), k))
+        for m in np.unique(decision.m_used):
+            coeffs[decision.m_used == m] = _coefficient_table(family, alphas, k, int(m))
+    # a stack of 1-D dot products: the same FMA chain as coeffs @ values
+    rhs = (coeffs[:, :, None, :] @ _grid_powers(values, alphas)[..., None])[..., 0, 0]
+    return _scalar_powers(base, alphas), rhs
 
 
 def _scalar_powers(bases: np.ndarray, alphas) -> np.ndarray:
@@ -480,36 +512,49 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     # a negative power of a zero concurrence is undefined
     valid = np.flatnonzero((retained > 0) & (c_focus > DROP_ATOL))
     whole = valid[retained[valid] == k]
-    # rows with a dropped pair sum their retained terms alone: a padded sum
-    # of eight or more terms would group them differently
-    partial = [(r, c_pair[r, ~dropped[r]]) for r in valid[retained[valid] < k]]
     lhs = np.full((s, len(alphas)), np.nan)
     lhs[valid] = _scalar_powers(c_focus[valid], alphas)
     rhs = np.full((s, len(alphas)), np.nan)
-    for j, alpha in enumerate(alphas):
-        rhs[whole, j] = (c_pair[whole] ** alpha).sum(axis=1)
-        for r, terms in partial:
-            rhs[r, j] = (terms ** alpha).sum()
+    rhs[whole] = _grid_powers(c_pair[whole], alphas).sum(axis=-1)
+    # rows with a dropped pair sum their retained terms alone: a padded sum
+    # of eight or more terms would group them differently
+    for r in valid[retained[valid] < k]:
+        rhs[r] = _grid_powers(c_pair[r, ~dropped[r]][None], alphas)[0].sum(axis=-1)
     if mean:
         rhs /= retained[:, None]
     return lhs, rhs, dropped
 
 
-def evaluate_block(block: ProfileBlock, kinds) -> list:
-    """Verdicts of each kind at its one power on a block of profiles.
+_PER_POWER = ("lhs", "rhs", "slack", "applicable", "strict")  # the (S, A) fields of Verdicts
+# (sample, power) points per _evaluate_batch call of evaluate_block, so that
+# neither a long grid nor a large block makes its (S, A, k) arrays unbounded
+_POINTS_PER_CALL = 1 << 14
 
-    Every kind must fit the block's party count. Kinds of one shape and
-    split index share one decision of their ordering conditions.
+
+def evaluate_block(block: ProfileBlock, kinds):
+    """Yield (j, verdicts) for each kinds[j] at its one power on a block of profiles.
+
+    Every kind must fit the block's party count. The kinds of one family and
+    split index are evaluated together, over all of their powers in as few
+    calls as _POINTS_PER_CALL allows, so kinds come out grouped, not in
+    order. Kinds of one shape and split index share one decision of their
+    ordering conditions.
     """
+    groups = {}
+    for j, kind in enumerate(kinds):
+        groups.setdefault((kind.id, kind.m), []).append(j)
+    step = max(1, _POINTS_PER_CALL // len(block.c_pair))
     decisions = {}
-    verdicts = []
-    for kind in kinds:
-        family = _FAMILIES[kind.id]
-        key = (family.shape, kind.m)
+    for (bound, m), members in groups.items():
+        family = _FAMILIES[bound]
+        key = (family.shape, m)
         if key not in decisions:
             decisions[key] = _decide(block.c_pair, *key)
-        verdicts.append(_evaluate_batch(block, family, decisions[key], (kind.alpha,)))
-    return verdicts
+        for first in range(0, len(members), step):
+            batch = members[first:first + step]
+            v = _evaluate_batch(block, family, decisions[key], [kinds[j].alpha for j in batch])
+            for i, j in enumerate(batch):
+                yield j, v._replace(**{f: getattr(v, f)[:, i:i + 1] for f in _PER_POWER})
 
 
 def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
@@ -576,16 +621,19 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     overflowing power makes a bound's applicability vary along the grid,
     and its residual NaN there.
     """
-    grid = tuple(float(a) for a in alphas)
+    grid = tuple(map(float, alphas))
     if not grid:
         raise ValueError("empty alpha grid")
     check_split_index((tightened, baseline), m)
     # the kinds at grid[0] carry the m and fit checks; later points need the power rule
     kinds = [BoundKind(b, grid[0], _split_only(BoundId(b), m)) for b in (tightened, baseline)]
     families = [_family_on(kind, block) for kind in kinds]
-    for a in grid[1:]:
-        for kind, family in zip(kinds, families):
-            family.check_power(kind.id, a)
+    points = np.array(grid)
+    bad = np.array([~(np.isfinite(points) & family.allows(points)) for family in families])
+    if bad.any():  # the first bad point, and at it the tightened bound first
+        j = bad.any(axis=0).argmax()
+        i = bad[:, j].argmax()
+        families[i].check_power(kinds[i].id, grid[j])
     curves, applicable = [], []
     for kind, family in zip(kinds, families):
         v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), grid)

@@ -128,6 +128,11 @@ def test_campaign_config_validation():
         run_campaign(CampaignConfig(5, (3,), (kind,), -1))
 
 
+def test_campaign_state_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        campaign_state(-1, 3, 0)
+
+
 def test_run_campaign_counters_and_replay():
     config = CampaignConfig(
         samples=60,
@@ -180,6 +185,29 @@ def test_run_campaign_block_size_changes_nothing(budget, monkeypatch):
     expected = run_campaign(config).to_json()
     monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
     assert run_campaign(config).to_json() == expected
+
+
+@pytest.mark.parametrize("budget", [
+    1 << 18,       # one evaluation chunk per qubit count
+    3 * 8 * 16,    # chunks of 3 samples; blocks of 3 at three qubits, 1 from four up
+    5 * 8 * 16,    # chunks of 5 made of blocks of 2, 2 and 1 at four qubits
+])
+def test_run_campaign_evaluation_chunks_keep_the_recorded_report(budget, monkeypatch):
+    # recorded when each profile block was evaluated on its own, one kind at a
+    # time; the kinds mix families, powers and split indices in no order
+    r2 = math.sqrt(2.0)
+    kinds = [(BoundId.CKW, 2.0), (BoundId.ALPHA_POWER, 2.0), (BoundId.TIGHT_SPLIT, 2.0),
+             (BoundId.ALPHA_POWER, 2.5), (BoundId.UPPER_MEAN, -1.0), (BoundId.TIGHT_ORDERED, 3.0),
+             (BoundId.TIGHT_SPLIT, 2.0, 1), (BoundId.EOF_TIGHT_SPLIT, r2),
+             (BoundId.UPPER_SUM, -2.0), (BoundId.TIGHT_SPLIT, 2.5), (BoundId.ALPHA_POWER, 3.0),
+             (BoundId.UPPER_MEAN, -0.5), (BoundId.EOF_TIGHT_SPLIT, 3.0),
+             (BoundId.EOF_ALPHA_POWER, r2), (BoundId.UPPER_SUM, -1.0),
+             (BoundId.TIGHT_ORDERED, 2.0), (BoundId.EOF_ALPHA_POWER, 2.0),
+             (BoundId.TIGHT_SPLIT, 3.0, 1)]
+    config = CampaignConfig(samples=12, qubit_counts=(3, 4, 5, 6),
+                            kinds=tuple(BoundKind(*k) for k in kinds), seed=5)
+    monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
+    assert run_campaign(config).to_json() == (DATA / "verify-mixed-q3-6-seed5.json").read_text()
 
 
 def test_cli_verify_matches_recorded_report(tmp_path):
@@ -518,6 +546,18 @@ def test_cli_non_finite_campaign_input_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("word", ["-inf", "-infinity", "-nan", "-INF", "-Infinity", "-NaN"])
+def test_cli_negative_word_is_a_value(word, tmp_path, capsys):
+    # a negative non-finite word reaches the grid check, not argparse's "expected one argument"
+    state = tmp_path / "w3.json"
+    save_state_file(str(state), amplitudes=w_state(3))
+    assert main(["sweep", "--state", str(state), "--bound", "upper-mean", "--baseline",
+                 "upper-sum", "--alpha-min", word, "--alpha-max", "-1", "--alpha-step", "1"]) == 2
+    assert capsys.readouterr().err == "error: alpha grid bounds and step must be finite\n"
+    assert main(["verify", "--samples", "1", "--tolerance", word]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be positive and finite\n"
+
+
 @pytest.mark.parametrize("amplitude", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_cli_rejects_non_finite_state_file(tmp_path, amplitude, capsys):
     state = tmp_path / "bad.json"
@@ -539,9 +579,17 @@ def test_cli_usage_errors():
     assert main(["measure", "--state", "/nonexistent/state.json"]) == 2
 
 
-def _one_power(alpha):
-    # flag=value, so that argparse takes a value like -1e300 for a value, not a flag
-    return [f"--alpha-min={alpha}", f"--alpha-max={alpha}", "--alpha-step=1"]
+_GRID_FLAGS = ("--alpha-min", "--alpha-max", "--alpha-step")
+
+
+def _valued(flags, values, spaced):
+    """Each flag with its value, as one flag=value token or as two tokens as users type."""
+    return [t for f, v in zip(flags, values) for t in ([f, v] if spaced else [f"{f}={v}"])]
+
+
+def _one_power(alpha, spaced=False):
+    """A one-point grid at alpha."""
+    return _valued(_GRID_FLAGS, (alpha, alpha, "1"), spaced)
 
 
 @pytest.mark.parametrize("argv", [
@@ -588,25 +636,32 @@ _STATES = st.sampled_from(["@haar5", "@ghz4", "@w3", "@mixed3", "@bell2"])  # st
 
 
 def _maybe(name, values):
-    """Absent three times in four, else the flag with one drawn value."""
-    return st.one_of(st.just([]), st.just([]), st.just([]), values.map(lambda v: [f"{name}={v}"]))
+    """Absent three times in four, else the flag with one drawn value, in either form."""
+    return st.one_of(st.just([]), st.just([]), st.just([]),
+                     st.tuples(values, st.booleans()).map(lambda t: _valued([name], [t[0]], t[1])))
 
 
 def _grid_in_reach(argv):
     """Whether argv builds at most 20 grid points, or none, or is refused by alpha_grid."""
-    flags = dict(t.split("=", 1) for t in argv if "=" in t)
+    flags = {}
+    for i, token in enumerate(argv):
+        name, eq, value = token.partition("=")
+        if name in _GRID_FLAGS:
+            flags[name] = value if eq else argv[i + 1]
     try:
-        lo, hi, step = (float(flags[f]) for f in ("--alpha-min", "--alpha-max", "--alpha-step"))
+        lo, hi, step = (float(flags[f]) for f in _GRID_FLAGS)
         return not 20 < (hi - lo) / step < 10_000
     except (KeyError, ZeroDivisionError):
         return True
 
 
 _grid = st.one_of(
-    st.sampled_from(["1e300", "-1e300", "1e40", "-800"]).map(_one_power),
-    st.sampled_from(_NUMBERS).map(_one_power), st.just([]),
-    st.lists(st.sampled_from(_NUMBERS), min_size=3, max_size=3).map(
-        lambda g: [f"--alpha-min={g[0]}", f"--alpha-max={g[1]}", f"--alpha-step={g[2]}"]))
+    st.tuples(st.sampled_from(["1e300", "-1e300", "1e40", "-800"]), st.booleans()).map(
+        lambda t: _one_power(*t)),
+    st.tuples(st.sampled_from(_NUMBERS), st.booleans()).map(lambda t: _one_power(*t)),
+    st.just([]),
+    st.tuples(st.lists(st.sampled_from(_NUMBERS), min_size=3, max_size=3), st.booleans()).map(
+        lambda t: _valued(_GRID_FLAGS, t[0], t[1])))
 _split_index = _maybe("--m", st.integers(0, 3).map(str))
 _partition = (_maybe("--focus", st.integers(-1, 4).map(str)),
               _maybe("--order", st.lists(st.integers(0, 4), min_size=1, max_size=5)

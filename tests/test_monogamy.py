@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import w_class_state
 
+from entmono import monogamy
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import reduced_state
 from entmono.measures import (
@@ -26,6 +28,7 @@ from entmono.monogamy import (
     _decide,
     _evaluate_batch,
     evaluate,
+    evaluate_block,
     family_kinds,
     profile,
     profile_batch,
@@ -163,6 +166,108 @@ def test_evaluate_batch_rows_equal_batches_of_one(n):
                 assert whole.decision.applicable[s] == decided.applicable[0]
                 if decided.m_used is not None:
                     assert whole.decision.m_used[s] == decided.m_used[0]
+
+
+# Grids for the oracle below: each holds numpy's fast-path exponents its
+# family allows (2.0, -1.0) and points whose powers overflow (1e300, -800)
+_ORACLE_GRIDS = {(2.0, math.inf): (2.0, 2.05, 2.37, 3.0, 5.0, 47.3, 1e300),
+                 (ALPHA_MIN_EOF, math.inf): (ALPHA_MIN_EOF, 1.5, 2.0, 2.5, 3.0, 1e300),
+                 (-math.inf, 0.0): (-800.0, -2.0, -1.0, -0.7, -0.5, -0.3),
+                 (2.0, 2.0): (2.0,)}
+
+
+def _oracle(block, family, decision, alpha):
+    """(lhs, rhs, slack) of each row at one power by scalar arithmetic, a point at a time.
+
+    One values ** alpha, one np.float64 coefficient formula and one 1-D dot
+    product per row; an upper family sums the retained terms of the row.
+    """
+    out = np.full((len(block.c_pair), 3), np.nan)
+    for s in range(len(block.c_pair)):
+        if family.shape in ("mean", "sum"):
+            pairs = block.c_pair[s]
+            kept = pairs[pairs > 1e-12]
+            if len(kept) == 0 or block.c_focus[s] <= 1e-12:
+                continue
+            lhs, rhs = block.c_focus[s] ** alpha, (kept ** alpha).sum()
+            if family.shape == "mean":
+                rhs = rhs / len(kept)
+            slack = rhs - lhs
+        else:
+            base, values = ((block.e_focus[s], block.e_pair[s]) if family.measure == "E"
+                            else (block.c_focus[s], block.c_pair[s]))
+            k = len(values)
+            ratio = np.float64(alpha / family.powers[0])
+            if family.shape == "unit":
+                coeffs = np.ones(k)
+            elif family.shape == "ordered":
+                coeffs = ratio ** np.arange(k)
+            else:
+                m = int(decision.m_used[s])
+                coeffs = np.empty(k)
+                coeffs[:m] = ratio ** np.arange(m)
+                coeffs[m:k - 1] = ratio ** (m + 1)
+                coeffs[k - 1] = ratio ** m
+            lhs, rhs = base ** alpha, coeffs @ values ** alpha
+            slack = lhs - rhs
+        out[s] = lhs, rhs, slack if math.isfinite(slack) else np.nan
+    return out
+
+
+def _same_bits(got, want):
+    """Equal, NaN matching NaN, and with equal signs, so -0.0 is not 0.0."""
+    def signs(x):
+        return np.signbit(x) & ~np.isnan(x)
+
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(signs(got), signs(want))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_evaluate_batch_equals_scalar_arithmetic_per_point(n):
+    # 20 rows: Haar states, W-class states, W, GHZ (every pair dropped, and
+    # C(A|rest) = 1.0000000000000002 at n = 3), a spectator last and one
+    # first (one pair dropped; padding the first with a zero would regroup
+    # a sum of eight or more terms) and a product focus (C(A|rest) = 0)
+    spectator = np.kron(w_class_state(n - 1, 7), basis_state(1, 0))
+    states = [campaign_state(3, n, i) for i in range(10)] + [w_class_state(n, s) for s in range(5)]
+    states += [w_state(n), ghz_state(n), spectator,
+               np.moveaxis(spectator.reshape((2,) * n), -1, 1).reshape(-1),
+               np.kron(basis_state(1, 0), w_state(n - 1))]
+    block = profile_batch(np.stack(states), PartitionSpec.default(n))
+    ones = [ProfileBlock(*(a[s:s + 1] for a in block)) for s in (0, 10, 16, 18)]
+    for bound, family in _FAMILIES.items():
+        if n not in family.parties:
+            continue
+        alphas = _ORACLE_GRIDS[family.powers]
+        pinned = range(1, n - 2) if family.shape == "split" else ()
+        for m in (None, *pinned):
+            for rows in (block, *ones):
+                decision = _decide(rows.c_pair, family.shape, m)
+                v = _evaluate_batch(rows, family, decision, alphas)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for j, alpha in enumerate(alphas):
+                        want = _oracle(rows, family, decision, alpha)
+                        for i, got in enumerate((v.lhs, v.rhs, v.slack)):
+                            assert _same_bits(got[:, j], want[:, i]), (bound, m, alpha, i)
+
+
+def test_grouped_evaluate_block_equals_one_kind_at_a_time(monkeypatch):
+    kinds = [kind for bound in BoundId for kind in family_kinds(bound)]
+    kinds += [BoundKind(BoundId.ALPHA_POWER, 7.0), BoundKind(BoundId.UPPER_SUM, -0.3),
+              BoundKind(BoundId.EOF_TIGHT_SPLIT, 2.5, m=1),
+              BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=1), BoundKind(BoundId.TIGHT_SPLIT, 3.0, m=2),
+              BoundKind(BoundId.TIGHT_SPLIT, 2.5, m=1)]
+    kinds = kinds[1::2] + kinds[::2]  # kinds of one family need not be adjacent
+    for n in (3, 4, 5, 8):
+        states = [campaign_state(4, n, i) for i in range(4)] + [w_state(n), ghz_state(n)]
+        block = profile_batch(np.stack(states), PartitionSpec.default(n))
+        fitting = [kind for kind in kinds if kind.fits(n)]
+        one_at_a_time = [dict(evaluate_block(block, [kind]))[0] for kind in fitting]
+        for points in (monogamy._POINTS_PER_CALL, 2 * len(states), 1):  # 2, then 1 power a call
+            monkeypatch.setattr(monogamy, "_POINTS_PER_CALL", points)
+            grouped = dict(evaluate_block(block, fitting))
+            with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+                assert repr([grouped[j] for j in range(len(fitting))]) == repr(one_at_a_time)
 
 
 _PROFILED_STATES = st.tuples(st.integers(3, 6), st.sampled_from(["haar", "w-class"]),

@@ -10,8 +10,9 @@ printed, and the exit status is 1 if any does, else 0.
 
 The state files the commands read are written first, into a temporary
 directory, with numpy and json alone, so neither tree writes its own input.
-The list covers the three bundled examples, the -800 and -1e3 example grids,
-campaigns at several qubit counts and seeds (and a negative seed), and
+The list covers the three bundled examples, the -800, -1e3 and -inf example
+grids, campaigns at several qubit counts and seeds, one over a grid of
+powers, a negative seed and a tolerance of -NaN, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state. It is a check of behaviour kept
 across a change, so a change that means to alter behaviour shows its
@@ -74,6 +75,8 @@ def _commands(state_paths) -> list:
     commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
                   "--alpha-step", "799"],
                  ["example", "--id", "2", "--alpha-min", "-1e3", "--alpha-max", "-1",
+                  "--alpha-step", "1"],
+                 ["example", "--id", "2", "--alpha-min", "-inf", "--alpha-max", "-1",
                   "--alpha-step", "1"]]
     for qubits in ("3", "4", "5", "3,4,5,8"):
         for seed in ("0", "7"):
@@ -81,7 +84,10 @@ def _commands(state_paths) -> list:
     for seed in ("0", "7"):
         commands.append(["verify", "--samples", "20", "--qubits", "4,8,12", "--bound", "ckw",
                          "--bound", "tight-split", "--seed", seed])
+    commands.append(["verify", "--samples", "50", "--qubits", "3,6", "--alpha-min", "-2",
+                     "--alpha-max", "4", "--alpha-step", "0.25"])
     commands.append(["verify", "--samples", "5", "--seed", "-1"])
+    commands.append(["verify", "--samples", "5", "--tolerance", "-NaN"])
     for path in state_paths:
         commands.append(["measure", "--state", str(path)])
         for bound, baseline, lo, hi, step in SWEEPS:
