@@ -3,11 +3,7 @@
 A campaign report is reproducible byte for byte: every sample's state is
 derived from the root seed via a spawn key (campaign_state replays it), and
 the report holds only deterministic fields. Samples are profiled in blocks
-of BLOCK_BYTES of amplitudes, and tallied in evaluation chunks of as many
-samples as one three-qubit block holds (2048): the profile blocks of a
-chunk are joined, and the kinds of each family are evaluated on the chunk
-together, over all of their powers. Neither size changes any value in a
-report.
+of BLOCK_BYTES of amplitudes; the block size changes no value in a report.
 """
 
 import json
@@ -18,7 +14,7 @@ import numpy as np
 
 from .linalg import MAX_QUBITS
 from .monogamy import (FAILS, HOLDS, STRICT_SLACK_FLOOR, UNDECIDED, PartitionSpec,
-                       ProfileBlock, evaluate_block, profile_batch)
+                       evaluate_block, profile_batch)
 from .states import SeededSampler, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
@@ -115,7 +111,7 @@ def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
 
 
 def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
-    """Count one chunk of verdicts at one power into row; its samples start at index start."""
+    """Count one block of verdicts at one power into row; its samples start at index start."""
     codes, slack, strict = verdicts.applicable[:, 0], verdicts.slack[:, 0], verdicts.strict[:, 0]
     holds = codes == HOLDS
     # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
@@ -131,43 +127,28 @@ def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
     if holds.any():
         candidates = np.flatnonzero(holds)
         j = candidates[np.argmin(slack[candidates])]  # the first of equal minima
-        if row.worst_slack is None or slack[j] < row.worst_slack:  # earlier chunks win ties
+        if row.worst_slack is None or slack[j] < row.worst_slack:  # earlier blocks win ties
             row.worst_slack, row.worst_sample = float(slack[j]), start + int(j)
-
-
-def _block_size(n: int) -> int:
-    """Samples per profile block at n qubits: BLOCK_BYTES of amplitudes, at least one."""
-    return max(1, BLOCK_BYTES // (2 ** n * 16))
-
-
-def _profiles(seed: int, n: int, part: PartitionSpec, samples: range) -> ProfileBlock:
-    """Profiles of a range of a campaign's samples, taken in profile blocks."""
-    size = _block_size(n)
-    blocks = [profile_batch(np.stack([campaign_state(seed, n, i) for i in samples[b:b + size]]),
-                            part)
-              for b in range(0, len(samples), size)]
-    return ProfileBlock(*map(np.concatenate, zip(*blocks)))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
     config.validate()
-    # profiles are tallied in chunks of the three-qubit block size, so every
-    # qubit count takes as few evaluations as three qubits do
-    chunk = _block_size(3)
     rows = []
     for n in config.qubit_counts:
-        kinds = [k for k in config.kinds if k.fits(n)]
-        if not kinds:
+        fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))
+                   for k in config.kinds if k.fits(n)]
+        if not fitting:
             continue  # no kind is stated for n parties, so nothing to sample
-        tallies = [CampaignRow(k.id.value, k.alpha, k.m, n) for k in kinds]
         part = PartitionSpec.default(n)
-        for start in range(0, config.samples, chunk):
-            samples = range(start, min(start + chunk, config.samples))
-            profiles = _profiles(config.seed, n, part, samples)
-            for j, verdicts in evaluate_block(profiles, kinds):
-                _tally(tallies[j], verdicts, start, config.tolerance)
-        rows.extend(tallies)
+        size = max(1, BLOCK_BYTES // (2 ** n * 16))
+        for start in range(0, config.samples, size):
+            stop = min(start + size, config.samples)
+            vecs = np.stack([campaign_state(config.seed, n, i) for i in range(start, stop)])
+            block = profile_batch(vecs, part)
+            for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
+                _tally(row, verdicts, start, config.tolerance)
+        rows.extend(row for _, row in fitting)
     stats = {
         "profiles": config.samples * len({r.qubits for r in rows}),
         "bound_evaluations": sum(r.total for r in rows),

@@ -43,20 +43,18 @@ split index on a ProfileBlock of S profiles and A powers, returning
 Ordering conditions depend on the shape and split index only, so _decide
 settles them once per block as (S, N-2) verdicts that every power, and
 every family of the shape, shares. residual_sweep runs the kernel once
-per bound over its whole grid; evaluate_block groups a campaign's kinds
-by family and split index and runs it once per group over all of the
-group's powers (split only past _POINTS_PER_CALL points); evaluate runs
-it on the one-row ProfileBlock that profile returns. Only scalar powers
-(the lhs, and a split family's two single coefficients) loop over the
-powers in Python. Each point is bit-identical to a batch of one at that
-power, and to scalar arithmetic on that row, because the kernel keeps
-four rules:
+per bound over its whole grid, the campaign once per kind over a block of
+samples, and evaluate on the one-row ProfileBlock that profile returns.
+Only scalar powers (the lhs, and a split family's two single
+coefficients) loop over the powers in Python. Each point is bit-identical
+to a batch of one at that power, and to scalar arithmetic on that row,
+because the kernel keeps four rules:
 
   grid power    _grid_powers raises (S, k) values to every power at once,
-                values[:, None, :] ** alphas[None, :, None]; a power that
-                numpy's ndarray ** scalar hands to a faster ufunc (-1, 0,
-                0.5, 1, 2: reciprocal, square, sqrt, ...) is raised as
-                values ** alpha instead, whose bits np.power does not match
+                values[:, None, :] ** alphas[:, None]; a power that
+                numpy's ndarray ** scalar hands to a faster ufunc (-1 and
+                2: reciprocal, square) is raised as values ** alpha
+                instead, whose bits np.power does not match
   coefficients  _coefficient_table gives (A, k) coefficients per split
                 index, ratio ** arange as one broadcast array power and
                 the split family's ratio^(m+1) and ratio^m as scalar
@@ -469,17 +467,18 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
                     strict, dropped, decision)
 
 
-# the exponents numpy's ndarray ** scalar raises by a faster ufunc (square,
-# reciprocal, sqrt, ...), whose bits can differ from np.power's
-_FAST_EXPONENTS = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+# the exponents numpy's ndarray ** scalar raises by a faster ufunc (reciprocal,
+# square), whose bits can differ from np.power's; it also has fast paths for
+# 0, 0.5 and 1, but no family's powers take them (_Family.powers)
+_FAST_EXPONENTS = (-1.0, 2.0)
 
 
 def _grid_powers(values: np.ndarray, alphas) -> np.ndarray:
     """(S, A, k) powers of (S, k) values, each point as values ** alpha would raise it."""
-    alphas = np.array(alphas, float)
-    powered = values[:, None, :] ** alphas[None, :, None]
-    for j in np.flatnonzero((alphas[:, None] == _FAST_EXPONENTS).any(axis=1)):
-        powered[:, j] = values ** float(alphas[j])
+    powered = values[:, None, :] ** np.array(alphas, float)[:, None]
+    for j, alpha in enumerate(alphas):
+        if alpha in _FAST_EXPONENTS:
+            powered[:, j] = values ** float(alpha)
     return powered
 
 
@@ -525,36 +524,21 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     return lhs, rhs, dropped
 
 
-_PER_POWER = ("lhs", "rhs", "slack", "applicable", "strict")  # the (S, A) fields of Verdicts
-# (sample, power) points per _evaluate_batch call of evaluate_block, so that
-# neither a long grid nor a large block makes its (S, A, k) arrays unbounded
-_POINTS_PER_CALL = 1 << 14
+def evaluate_block(block: ProfileBlock, kinds) -> list:
+    """Verdicts of each kind at its one power on a block of profiles.
 
-
-def evaluate_block(block: ProfileBlock, kinds):
-    """Yield (j, verdicts) for each kinds[j] at its one power on a block of profiles.
-
-    Every kind must fit the block's party count. The kinds of one family and
-    split index are evaluated together, over all of their powers in as few
-    calls as _POINTS_PER_CALL allows, so kinds come out grouped, not in
-    order. Kinds of one shape and split index share one decision of their
-    ordering conditions.
+    Every kind must fit the block's party count. Kinds of one shape and
+    split index share one decision of their ordering conditions.
     """
-    groups = {}
-    for j, kind in enumerate(kinds):
-        groups.setdefault((kind.id, kind.m), []).append(j)
-    step = max(1, _POINTS_PER_CALL // len(block.c_pair))
     decisions = {}
-    for (bound, m), members in groups.items():
-        family = _FAMILIES[bound]
-        key = (family.shape, m)
+    verdicts = []
+    for kind in kinds:
+        family = _FAMILIES[kind.id]
+        key = (family.shape, kind.m)
         if key not in decisions:
             decisions[key] = _decide(block.c_pair, *key)
-        for first in range(0, len(members), step):
-            batch = members[first:first + step]
-            v = _evaluate_batch(block, family, decisions[key], [kinds[j].alpha for j in batch])
-            for i, j in enumerate(batch):
-                yield j, v._replace(**{f: getattr(v, f)[:, i:i + 1] for f in _PER_POWER})
+        verdicts.append(_evaluate_batch(block, family, decisions[key], (kind.alpha,)))
+    return verdicts
 
 
 def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
@@ -621,7 +605,7 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     overflowing power makes a bound's applicability vary along the grid,
     and its residual NaN there.
     """
-    grid = tuple(map(float, alphas))
+    grid = tuple(float(a) for a in alphas)
     if not grid:
         raise ValueError("empty alpha grid")
     check_split_index((tightened, baseline), m)
@@ -634,6 +618,7 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
         j = bad.any(axis=0).argmax()
         i = bad[:, j].argmax()
         families[i].check_power(kinds[i].id, grid[j])
+        raise AssertionError(f"the grid mask and check_power disagree at alpha = {grid[j]}")
     curves, applicable = [], []
     for kind, family in zip(kinds, families):
         v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), grid)

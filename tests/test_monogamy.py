@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import w_class_state
 
-from entmono import monogamy
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import reduced_state
 from entmono.measures import (
@@ -28,7 +26,6 @@ from entmono.monogamy import (
     _decide,
     _evaluate_batch,
     evaluate,
-    evaluate_block,
     family_kinds,
     profile,
     profile_batch,
@@ -249,25 +246,6 @@ def test_evaluate_batch_equals_scalar_arithmetic_per_point(n):
                         want = _oracle(rows, family, decision, alpha)
                         for i, got in enumerate((v.lhs, v.rhs, v.slack)):
                             assert _same_bits(got[:, j], want[:, i]), (bound, m, alpha, i)
-
-
-def test_grouped_evaluate_block_equals_one_kind_at_a_time(monkeypatch):
-    kinds = [kind for bound in BoundId for kind in family_kinds(bound)]
-    kinds += [BoundKind(BoundId.ALPHA_POWER, 7.0), BoundKind(BoundId.UPPER_SUM, -0.3),
-              BoundKind(BoundId.EOF_TIGHT_SPLIT, 2.5, m=1),
-              BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=1), BoundKind(BoundId.TIGHT_SPLIT, 3.0, m=2),
-              BoundKind(BoundId.TIGHT_SPLIT, 2.5, m=1)]
-    kinds = kinds[1::2] + kinds[::2]  # kinds of one family need not be adjacent
-    for n in (3, 4, 5, 8):
-        states = [campaign_state(4, n, i) for i in range(4)] + [w_state(n), ghz_state(n)]
-        block = profile_batch(np.stack(states), PartitionSpec.default(n))
-        fitting = [kind for kind in kinds if kind.fits(n)]
-        one_at_a_time = [dict(evaluate_block(block, [kind]))[0] for kind in fitting]
-        for points in (monogamy._POINTS_PER_CALL, 2 * len(states), 1):  # 2, then 1 power a call
-            monkeypatch.setattr(monogamy, "_POINTS_PER_CALL", points)
-            grouped = dict(evaluate_block(block, fitting))
-            with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-                assert repr([grouped[j] for j in range(len(fitting))]) == repr(one_at_a_time)
 
 
 _PROFILED_STATES = st.tuples(st.integers(3, 6), st.sampled_from(["haar", "w-class"]),
