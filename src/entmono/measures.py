@@ -80,7 +80,10 @@ def eof_pure(psi, cut) -> float:
 def _wootters(rho) -> np.ndarray:
     """Wootters concurrences of trusted two-qubit density matrices stacked (..., 4, 4)."""
     lam, vec = np.linalg.eigh(rho)
-    cols = vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
+    # a rank-deficient reduction has rounding-level eigenvalues (about 1e-17),
+    # whose square roots (about 3e-9) would enter the singular values below
+    lam = np.where(lam > 1e-14 * lam[..., -1:], lam, 0.0)
+    cols = vec * np.sqrt(lam)[..., None, :]
     # singular values of this symmetric matrix equal the sqrt-eigenvalues of
     # rho (sy x sy) rho* (sy x sy); the svd route keeps them real and sorted
     mu = np.linalg.svd(cols.swapaxes(-1, -2) @ _SPIN_FLIP @ cols, compute_uv=False)

@@ -45,30 +45,11 @@ settles them once per block as (S, N-2) verdicts that every power, and
 every family of the shape, shares. residual_sweep runs the kernel once
 per bound over its whole grid, the campaign once per kind over a block of
 samples, and evaluate on the one-row ProfileBlock that profile returns.
-Only scalar powers (the lhs, and a split family's two single
-coefficients) loop over the powers in Python. Each point is bit-identical
-to a batch of one at that power, and to scalar arithmetic on that row,
-because the kernel keeps four rules:
-
-  grid power    _grid_powers raises (S, k) values to every power at once,
-                values[:, None, :] ** alphas[:, None]; a power that
-                numpy's ndarray ** scalar hands to a faster ufunc (-1 and
-                2: reciprocal, square) is raised as values ** alpha
-                instead, whose bits np.power does not match
-  coefficients  _coefficient_table gives (A, k) coefficients per split
-                index, ratio ** arange as one broadcast array power and
-                the split family's ratio^(m+1) and ratio^m as scalar
-                powers; _coefficients is its one-row case
-  dot product   rhs = coeffs . values^a is a stack of 1-D dot products,
-                (coeffs[:, :, None, :] @ powered[..., None])[..., 0, 0],
-                the same FMA chain as a 1-D coeffs @ values; V @ c,
-                np.dot, einsum and np.matvec sum in other orders. An upper
-                family sums full rows with one .sum(axis=-1), a pairwise
-                sum per row; a row with a dropped pair sums its retained
-                terms alone, since padding with zeros would regroup a sum
-                of eight or more terms
-  lhs           an np.float64 scalar power per element (libm pow), never
-                an array power, whose vectorised pow rounds differently
+Each row and each power is bit-identical to a batch of one at that power.
+To keep that rule, _powers raises the lhs and every pair term of an
+evaluation with one np.power call on full-size contiguous operands: ** has
+fast paths for some exponents (square at 2), and np.power on broadcast
+operands takes another loop, each of which can round differently.
 """
 
 import math
@@ -347,24 +328,14 @@ def _coefficient_table(family: _Family, alphas, k: int, m: int | None) -> np.nda
     """(A, k) pair coefficients of a lower family, one row per power; a huge power gives inf."""
     if family.shape == "unit":
         return np.ones((len(alphas), k))
+    if family.shape == "ordered":
+        exponents = list(range(k))
+    else:  # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
+        exponents = [*range(m), *[m + 1] * (k - 1 - m), m]
     # the ratio is alpha over the least allowed power, so a tightened family
     # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
     ratios = np.array(alphas, float) / family.powers[0]
-    if family.shape == "ordered":
-        return ratios[:, None] ** np.arange(k)
-    # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m;
-    # the two single powers are scalar powers, as a one-row table raises them
-    table = np.empty((len(ratios), k))
-    table[:, :m] = ratios[:, None] ** np.arange(m)
-    single = _scalar_powers(ratios, (m + 1, m))
-    table[:, m:k - 1] = single[:, :1]
-    table[:, k - 1] = single[:, 1]
-    return table
-
-
-def _coefficients(family: _Family, alpha: float, k: int, m: int | None) -> np.ndarray:
-    """The pair coefficients of a lower family at one power: a one-row table."""
-    return _coefficient_table(family, (alpha,), k, m)[0]
+    return np.power(ratios[:, None], exponents)
 
 
 def _relations(shape: str, num_parties: int, m: int | None) -> tuple:
@@ -448,7 +419,7 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
 
     A point whose lhs or rhs is not finite (a power overflowed) is not
     applicable and has a NaN slack. Each row is bit-identical to a batch of
-    one; the module docstring gives the rules that keep it so.
+    one; the module docstring gives the rule that keeps it so.
     """
     upper = family.shape in ("mean", "sum")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
@@ -467,19 +438,16 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
                     strict, dropped, decision)
 
 
-# the exponents numpy's ndarray ** scalar raises by a faster ufunc (reciprocal,
-# square), whose bits can differ from np.power's; it also has fast paths for
-# 0, 0.5 and 1, but no family's powers take them (_Family.powers)
-_FAST_EXPONENTS = (-1.0, 2.0)
-
-
-def _grid_powers(values: np.ndarray, alphas) -> np.ndarray:
-    """(S, A, k) powers of (S, k) values, each point as values ** alpha would raise it."""
-    powered = values[:, None, :] ** np.array(alphas, float)[:, None]
-    for j, alpha in enumerate(alphas):
-        if alpha in _FAST_EXPONENTS:
-            powered[:, j] = values ** float(alpha)
-    return powered
+def _powers(focus: np.ndarray, pairs: np.ndarray, alphas) -> np.ndarray:
+    """(S, A, k+1) powers of the columns [focus | pairs] of each row at each power."""
+    s, k = pairs.shape
+    shape = (s, len(alphas), k + 1)
+    # full-size, contiguous operands and no **: see the module docstring
+    bases, exponents = np.empty(shape), np.empty(shape)
+    bases[:, :, 0] = focus[:, None]
+    bases[:, :, 1:] = pairs[:, None, :]
+    exponents[...] = np.array(alphas, float)[:, None]
+    return np.power(bases, exponents)
 
 
 def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alphas) -> tuple:
@@ -492,33 +460,23 @@ def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alph
         coeffs = np.empty((s, len(alphas), k))
         for m in np.unique(decision.m_used):
             coeffs[decision.m_used == m] = _coefficient_table(family, alphas, k, int(m))
+    powered = _powers(base, values, alphas)
     # a stack of 1-D dot products: the same FMA chain as coeffs @ values
-    rhs = (coeffs[:, :, None, :] @ _grid_powers(values, alphas)[..., None])[..., 0, 0]
-    return _scalar_powers(base, alphas), rhs
-
-
-def _scalar_powers(bases: np.ndarray, alphas) -> np.ndarray:
-    """(len(bases), len(alphas)) powers, each an np.float64 scalar power (the lhs rule)."""
-    powers = (b ** alpha for b in bases for alpha in alphas)
-    return np.fromiter(powers, float, len(bases) * len(alphas)).reshape(len(bases), len(alphas))
+    rhs = (coeffs[:, :, None, :] @ powered[..., 1:, None])[..., 0, 0]
+    return powered[..., 0], rhs
 
 
 def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     c_focus, c_pair = block.c_focus, block.c_pair
-    s, k = c_pair.shape
     dropped = c_pair <= DROP_ATOL
-    retained = k - dropped.sum(axis=1)
-    # a negative power of a zero concurrence is undefined
-    valid = np.flatnonzero((retained > 0) & (c_focus > DROP_ATOL))
-    whole = valid[retained[valid] == k]
-    lhs = np.full((s, len(alphas)), np.nan)
-    lhs[valid] = _scalar_powers(c_focus[valid], alphas)
-    rhs = np.full((s, len(alphas)), np.nan)
-    rhs[whole] = _grid_powers(c_pair[whole], alphas).sum(axis=-1)
-    # rows with a dropped pair sum their retained terms alone: a padded sum
-    # of eight or more terms would group them differently
-    for r in valid[retained[valid] < k]:
-        rhs[r] = _grid_powers(c_pair[r, ~dropped[r]][None], alphas)[0].sum(axis=-1)
+    retained = c_pair.shape[1] - dropped.sum(axis=1)
+    valid = ((retained > 0) & (c_focus > DROP_ATOL))[:, None]
+    # a negative power of a zero concurrence is undefined: raise 1.0 in its
+    # place, then take the dropped pairs' terms as zeros
+    powered = _powers(np.where(valid[:, 0], c_focus, 1.0), np.where(dropped, 1.0, c_pair), alphas)
+    terms = np.where(dropped[:, None], 0.0, powered[..., 1:])
+    lhs = np.where(valid, powered[..., 0], np.nan)
+    rhs = np.where(valid, terms.sum(axis=-1), np.nan)
     if mean:
         rhs /= retained[:, None]
     return lhs, rhs, dropped

@@ -27,7 +27,7 @@ from entmono.monogamy import (
     ALPHA_MIN_EOF,
     BoundId,
     BoundKind,
-    _coefficients,
+    _coefficient_table,
     evaluate,
     profile,
     residual_sweep,
@@ -155,10 +155,11 @@ def test_criterion_5_tightened_bounds_dominate():
         for parties in (4, 5, 6):
             for m in range(1, parties - 2):
                 for a in (2.0, 2.5, 4.0):
-                    c = _coefficients(_FAMILIES[BoundId.TIGHT_SPLIT], a, parties - 1, m)
+                    c = _coefficient_table(_FAMILIES[BoundId.TIGHT_SPLIT], (a,), parties - 1, m)[0]
                     assert c.min() >= 1.0 - 1e-15
                 for a in (SQRT2, 2.0, 3.0):
-                    c = _coefficients(_FAMILIES[BoundId.EOF_TIGHT_SPLIT], a, parties - 1, m)
+                    c = _coefficient_table(_FAMILIES[BoundId.EOF_TIGHT_SPLIT], (a,),
+                                           parties - 1, m)[0]
                     assert c.min() >= 1.0 - 1e-15
         ok = True
     finally:

@@ -1,9 +1,17 @@
 """Residual-curve CSVs from `example` and `sweep`, compared as exact strings.
 
 Each file under tests/data/sweeps/ is the CLI output for one case below,
-recorded before the residual curves were evaluated by the batched kernel,
-except that example2-overflow was re-recorded when a point whose power
-overflows became a NaN residual instead of -inf.
+recorded before the residual curves were evaluated by the batched kernel.
+example2-overflow was re-recorded when a point whose power overflows became
+a NaN residual instead of -inf. Seven files were re-recorded when the kernel
+came to raise every power with one array np.power, in place of a scalar pow
+for the lhs: example1, example2-exact-minus-one, example2-overflow,
+example3, wclass4-eof-tight-ordered, wclass5-tight-split-m1 and
+wclass11-spectator-upper-dropped. Their residuals moved by at most 2.2e-16,
+except 2.3e-13 (1 ulp) at a residual of -1111 in wclass11, and 3.1e-15 in
+wclass4, whose pair concurrences also moved when _wootters began to zero
+rounding-level eigenvalues. The strings depend on the np.power loop that
+numpy's SIMD level selects (a vectorised pow on AVX-512, libm elsewhere).
 The cases cover exact alpha = 2.0 and alpha = -1.0 grid points, a split
 family with a pinned and a free m, EoF grids, dropped pairs in the upper
 families (none, some and all), a negative-power grid that overflows, and 3
