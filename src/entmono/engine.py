@@ -3,7 +3,8 @@
 A campaign report is reproducible byte for byte: every sample's state is
 derived from the root seed via a spawn key (campaign_state replays it), and
 the report holds only deterministic fields. Samples are profiled in blocks
-of BLOCK_BYTES of amplitudes; the block size changes no value in a report.
+of BLOCK_BYTES of amplitudes, and their profiles are evaluated BLOCK_BYTES // 16
+at a time; neither size changes a value in a report.
 """
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 
 from .linalg import MAX_QUBITS
 from .monogamy import (FAILS, HOLDS, STRICT_SLACK_FLOOR, UNDECIDED, PartitionSpec,
-                       evaluate_block, profile_batch)
+                       ProfileBlock, evaluate_block, profile_batch)
 from .states import SeededSampler, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
@@ -131,6 +132,15 @@ def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
             row.worst_slack, row.worst_sample = float(slack[j]), start + int(j)
 
 
+def _profiles(seed: int, n: int, part: PartitionSpec, start: int, stop: int) -> ProfileBlock:
+    """Profiles of samples start..stop-1 at n qubits, taken BLOCK_BYTES of amplitudes at a time."""
+    size = max(1, BLOCK_BYTES // (2 ** n * 16))
+    blocks = [profile_batch(np.stack([campaign_state(seed, n, i)
+                                      for i in range(first, min(first + size, stop))]), part)
+              for first in range(start, stop, size)]
+    return ProfileBlock(*map(np.concatenate, zip(*blocks)))
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
     config.validate()
@@ -141,11 +151,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if not fitting:
             continue  # no kind is stated for n parties, so nothing to sample
         part = PartitionSpec.default(n)
-        size = max(1, BLOCK_BYTES // (2 ** n * 16))
+        # a profile row is a few floats per party, so evaluation takes as many
+        # rows at once as a profile block takes amplitudes
+        size = max(1, BLOCK_BYTES // 16)
         for start in range(0, config.samples, size):
-            stop = min(start + size, config.samples)
-            vecs = np.stack([campaign_state(config.seed, n, i) for i in range(start, stop)])
-            block = profile_batch(vecs, part)
+            block = _profiles(config.seed, n, part, start, min(start + size, config.samples))
             for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
                 _tally(row, verdicts, start, config.tolerance)
         rows.extend(row for _, row in fitting)

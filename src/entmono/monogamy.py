@@ -388,6 +388,8 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     chosen = applicable != FAILS
     smaller = range(first - 1, 0, -1) if m is None else ()
     for m_ in smaller:
+        if chosen.all():
+            break
         at_m = verdicts_at(m_)
         folded = _fold(at_m)
         take = ~chosen & (folded != FAILS)
@@ -482,21 +484,20 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     return lhs, rhs, dropped
 
 
-def evaluate_block(block: ProfileBlock, kinds) -> list:
-    """Verdicts of each kind at its one power on a block of profiles.
+def evaluate_block(block: ProfileBlock, kinds):
+    """Yield the verdicts of each kind at its one power on a block of profiles.
 
     Every kind must fit the block's party count. Kinds of one shape and
-    split index share one decision of their ordering conditions.
+    split index share one decision of their ordering conditions. Only one
+    kind's verdicts are made at a time, so a long block holds no more.
     """
     decisions = {}
-    verdicts = []
     for kind in kinds:
         family = _FAMILIES[kind.id]
         key = (family.shape, kind.m)
         if key not in decisions:
             decisions[key] = _decide(block.c_pair, *key)
-        verdicts.append(_evaluate_batch(block, family, decisions[key], (kind.alpha,)))
-    return verdicts
+        yield _evaluate_batch(block, family, decisions[key], (kind.alpha,))
 
 
 def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:

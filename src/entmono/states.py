@@ -101,11 +101,14 @@ def haar_random_pure(num_qubits: int, sampler: SeededSampler) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
     n = _check_qubits(num_qubits)
     rng = sampler.rng()
+    vec = np.empty(2 ** n, dtype=complex)
     while True:
-        vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        vec.real = rng.standard_normal(2 ** n)
+        vec.imag = rng.standard_normal(2 ** n)
         norm = np.linalg.norm(vec)
         if norm > 1e-12:
-            return vec / norm
+            vec /= norm
+            return vec
 
 
 def random_mixed(num_qubits: int, ancilla_qubits: int, sampler: SeededSampler) -> np.ndarray:

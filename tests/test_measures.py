@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import w_class_state
+
 from entmono.linalg import reduced_state
 from entmono.measures import (
+    SCREEN_MARGIN,
     _binary_entropy,
     _entropy,
+    _separability_bound,
+    _wootters,
+    _wootters_residual,
     concurrence_pure,
     convex_roof_upper_bound,
     eof_from_squared_concurrence,
@@ -223,3 +229,73 @@ def test_convex_roof_rejects_bad_arguments():
         convex_roof_upper_bound(rho, trials=0)
     with pytest.raises(ValueError):
         convex_roof_upper_bound(np.eye(2, dtype=complex) / 2)
+
+
+def _haar_pairs(n, count, seed=2017):
+    """The (0, b) pair reductions of count Haar states at n qubits, stacked (count, n-1, 4, 4)."""
+    states = [haar_random_pure(n, SeededSampler(seed).child(n, i)) for i in range(count)]
+    return np.array([[reduced_state(psi, (0, b)) for b in range(1, n)] for psi in states])
+
+
+def _rotated_w_class_pairs(n, seed):
+    """Every pair reduction of a W-class state turned by a random unitary on each qubit."""
+    rng = np.random.default_rng(seed)
+    psi = w_class_state(n, seed).astype(complex).reshape([2] * n)
+    for qubit in range(n):
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [qubit])), 0, qubit)
+    psi = psi.reshape(-1)
+    return np.array([reduced_state(psi, (a, b)) for a in range(n) for b in range(a + 1, n)])
+
+
+def _mixtures_with_identity(rank, seed):
+    """A random rank-r state mixed with I/4 at identity weights 0, 0.005, ..., 1."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    w = np.linspace(0.0, 1.0, 201)[:, None, None]
+    return (1.0 - w) * rho + w * np.eye(4) / 4
+
+
+def _werner(points=20_001):
+    bell = np.outer(_bell(), _bell().conj())
+    p = np.linspace(0.0, 1.0, points)[:, None, None]
+    return p * bell + (1.0 - p) * np.eye(4) / 4
+
+
+_SCREEN_CASES = {
+    **{f"haar{n}": (lambda n=n: _haar_pairs(n, 40 if n <= 8 else 8)) for n in range(3, 13)},
+    "werner": _werner,
+    "rotated-w-class": lambda: np.concatenate(
+        [_rotated_w_class_pairs(n, seed) for n in range(3, 8) for seed in range(4)]),
+    **{f"rank{r}-with-identity": (lambda r=r: np.concatenate(
+        [_mixtures_with_identity(r, seed) for seed in range(10)])) for r in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+def test_wootters_screen_is_bitwise_exact(case):
+    # the screened kernel must return the exact path's bits, +0.0 included,
+    # while the exact path runs on the uncertified matrices alone
+    rho = _SCREEN_CASES[case]()
+    exact = np.maximum(0.0, _wootters_residual(rho))
+    assert _wootters(rho).tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_SCREEN_CASES))
+def test_separability_bound_bounds_the_exact_residual(case):
+    rho = _SCREEN_CASES[case]()
+    # rho has unit trace, so tr M and tr M^2 come out within a few ulps of 1.0;
+    # where M = rho rho~ has rank one (a pure rho, a W-class pair) tr M - u^2 is
+    # that small, and its square root puts about 1e-8 into the computed bound,
+    # far inside the screen's margin
+    slack = 1e-12 + math.sqrt(16.0 * np.finfo(float).eps)
+    assert np.all(_wootters_residual(rho) <= _separability_bound(rho) + slack)
+
+
+def test_separability_screen_certifies_the_expected_share():
+    certified = {n: np.mean(_separability_bound(_haar_pairs(n, 40)) < -SCREEN_MARGIN)
+                 for n in (3, 8, 12)}
+    assert certified[3] == 0.0
+    assert certified[8] >= 0.95
+    assert certified[12] == 1.0

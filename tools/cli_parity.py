@@ -6,7 +6,10 @@ Each command runs once as ``python -m entmono ...`` in a subprocess under
 PYTHONPATH=PARENT_SRC and once under PYTHONPATH=CHANGE_SRC. The exit code,
 stdout and stderr of the two runs are compared, with the elapsed seconds
 that ``verify`` prints on stderr masked. Every command that differs is
-printed, and the exit status is 1 if any does, else 0.
+printed, and the exit status is 1 if any does, else 0. Under each one, a
+line per differing stream says whether only numbers moved and, if so, the
+largest absolute difference and the largest distance in ulps over the
+numbers aligned by position.
 
 The state files the commands read are written first, into a temporary
 directory, with numpy and json alone, so neither tree writes its own input.
@@ -20,8 +23,10 @@ commands here.
 """
 
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -37,6 +42,7 @@ SWEEPS = (
     ("tight-split", "eof-tight-split", "2", "4", "0.1"),
 )
 ELAPSED = re.compile(r"evaluations in \d+\.\d+s")
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b)", re.I)
 
 
 def _amplitude_file(path: Path, vec: np.ndarray) -> None:
@@ -97,6 +103,25 @@ def _commands(state_paths) -> list:
     return commands
 
 
+def _ulp_index(x: float) -> int:
+    """The float64 x as an integer that orders like the floats; -0.0 and 0.0 share 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _moved(before: str, after: str) -> str:
+    """How far the numbers of two outputs lie apart, when nothing else differs."""
+    if NUMBER.sub("#", before) != NUMBER.sub("#", after):
+        return "text other than numbers differs"
+    moved = [(float(b), float(a)) for b, a in zip(NUMBER.findall(before), NUMBER.findall(after))
+             if b != a]
+    if any(math.isnan(b) or math.isnan(a) for b, a in moved):
+        return f"only numbers moved ({len(moved)}), one of them to or from NaN"
+    largest = max((abs(a - b) for b, a in moved), default=0.0)
+    ulps = max((abs(_ulp_index(a) - _ulp_index(b)) for b, a in moved), default=0)
+    return f"only numbers moved ({len(moved)}), largest by {largest:.3g}, {ulps} ulp"
+
+
 def _run(src: str, argv: list) -> tuple:
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "entmono", *argv], env=env,
@@ -121,6 +146,9 @@ def main(argv=None) -> int:
                                                      before, after) if b != a]
                 shown = " ".join(command).replace(folder + os.sep, "")
                 print(f"differs ({', '.join(fields)}): entmono {shown}")
+                for name, b, a in zip(("stdout", "stderr"), before[1:], after[1:]):
+                    if b != a:
+                        print(f"  {name}: {_moved(b, a)}")
     print(f"{len(commands)} commands, {differing} differ")
     return 1 if differing else 0
 
