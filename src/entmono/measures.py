@@ -134,8 +134,6 @@ def _wootters(rho) -> np.ndarray:
     eigensolve; the others take the exact path, _wootters_residual.
     """
     exact = ~(_separability_bound(rho) < -SCREEN_MARGIN)
-    if exact.all():
-        return np.maximum(0.0, _wootters_residual(rho))
     c = np.zeros(exact.shape)
     c[exact] = np.maximum(0.0, _wootters_residual(rho[exact]))
     return c
