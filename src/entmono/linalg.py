@@ -8,7 +8,9 @@ Conventions used throughout the package:
   - Pure states are 1-D complex vectors of length 2**n, density matrices
     are (2**n, 2**n) complex arrays.
   - Every function is pure and never mutates its arguments, so all of
-    them are safe to call from concurrent workers.
+    them are safe to call from concurrent workers. The one exception is
+    _reduce, which writes into the output and scratch buffers its caller
+    passes; those must not be shared between workers.
   - Public functions validate their input once; the underscore kernels
     behind them trust their arguments and are called directly by code
     that has already validated.
@@ -117,12 +119,23 @@ def reduced_state(psi, keep) -> np.ndarray:
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
-    return _reduce(vec[None], _kept_positions(keep, n), n)[0]
+    kept = _kept_positions(keep, n)
+    d = 2 ** len(kept)
+    out = np.empty((1, d, d), dtype=complex)
+    return _reduce(vec[None], kept, n, out, np.empty((2, vec.size), dtype=complex))[0]
 
 
-def _reduce(vecs: np.ndarray, kept: tuple, n: int) -> np.ndarray:
-    """Reduced states (S, d, d) of trusted (S, 2**n) vectors on a sorted, valid keep set."""
+def _reduce(vecs: np.ndarray, kept: tuple, n: int, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """Reduced states of trusted (S, 2**n) vectors on a sorted, valid keep set, written into out.
+
+    out is (S, d, d) and scratch a (2, S * 2**n) complex buffer; nothing else
+    is allocated, so a caller that reuses them reduces without temporaries.
+    Returns out.
+    """
     traced = tuple(q for q in range(n) if q not in kept)
-    axes = [0] + [1 + q for q in kept + traced]
-    block = vecs.reshape([-1] + [2] * n).transpose(axes).reshape(len(vecs), 2 ** len(kept), -1)
-    return block @ block.conj().swapaxes(-1, -2)
+    block, conj = scratch.reshape(2, len(vecs), 2 ** len(kept), -1)
+    np.copyto(block.reshape([-1] + [2] * n),
+              vecs.reshape([-1] + [2] * n).transpose([0] + [1 + q for q in kept + traced]))
+    np.conjugate(block, out=conj)
+    return np.matmul(block, conj.swapaxes(-1, -2), out=out)

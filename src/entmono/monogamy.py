@@ -290,9 +290,13 @@ def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> ProfileBlock:
     """
     n = vecs.shape[1].bit_length() - 1
     focus = part.focus
-    rho_a = _reduce(vecs, (focus,), n)
-    rho_pairs = np.stack([_reduce(vecs, tuple(sorted((focus, b))), n) for b in part.rest],
-                         axis=1)
+    # every reduction goes through one scratch buffer into one output, so a
+    # block allocates the same few arrays however many pairs it has
+    scratch = np.empty((2, vecs.size), dtype=complex)
+    rho_a = _reduce(vecs, (focus,), n, np.empty((len(vecs), 2, 2), dtype=complex), scratch)
+    rho_pairs = np.empty((len(vecs), len(part.rest), 4, 4), dtype=complex)
+    for i, b in enumerate(part.rest):
+        _reduce(vecs, tuple(sorted((focus, b))), n, rho_pairs[:, i], scratch)
     c_pair = _wootters(rho_pairs)
     e_pair = eof_from_squared_concurrence(np.square(c_pair))
     return ProfileBlock(_purity_concurrence(rho_a), c_pair, _entropy(rho_a), e_pair)

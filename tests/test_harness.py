@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entmono
 from entmono import engine, harness, monogamy, statefile
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.harness import alpha_grid, main
@@ -312,6 +316,28 @@ def test_cli_measure_pure(tmp_path):
     np.testing.assert_allclose(pairs, [0.4] * 4, atol=1e-10)
     assert data["concurrence"]["tails"] == [None, None, pairs[-1]]
     assert data["note"] == "tail concurrences of mixed reductions have no closed form"
+
+
+def test_import_and_measure_load_no_scipy(tmp_path):
+    # importing scipy.special takes about half of an entmono start-up
+    state = tmp_path / "w3.json"
+    save_state_file(str(state), amplitudes=w_state(3))
+    argv = ["measure", "--state", str(state), "--out", str(tmp_path / "m.json")]
+    script = "\n".join([
+        "import sys",
+        "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import entmono",
+        "print(scipy_modules())",
+        "from entmono.harness import main",
+        f"assert main({argv!r}) == 0",
+        "print(scipy_modules())",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(entmono.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert json.loads((tmp_path / "m.json").read_text())["pure"] is True
 
 
 def test_cli_measure_rank_one_density_as_pure(tmp_path):

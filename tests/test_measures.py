@@ -15,6 +15,7 @@ from entmono.measures import (
     _separability_bound,
     _wootters,
     _wootters_residual,
+    _xlogx,
     concurrence_pure,
     convex_roof_upper_bound,
     eof_from_squared_concurrence,
@@ -70,6 +71,34 @@ def test_binary_entropy_arrays_and_domain():
         eof_from_squared_concurrence(1.001)
     with pytest.raises(ValueError):
         eof_from_squared_concurrence(np.array([0.5, np.nan]))
+    # scalars and 0-d arrays give a Python float, any other shape an array of it
+    for scalar in (0.5, np.float64(0.5), np.array(0.5), 1):
+        assert type(eof_from_squared_concurrence(scalar)) is float
+    grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    curve = eof_from_squared_concurrence(grid)
+    assert isinstance(curve, np.ndarray) and curve.shape == (2, 3)
+    assert curve.tolist() == [[eof_from_squared_concurrence(v) for v in row] for row in grid]
+    assert eof_from_squared_concurrence(np.array([])).shape == (0,)
+
+
+def test_xlogx_equals_scipy_xlogy_bitwise():
+    xlogy = pytest.importorskip("scipy.special").xlogy
+    rng = np.random.default_rng(0)
+    tiny, smallest = np.finfo(float).tiny, np.finfo(float).smallest_subnormal
+    near_one = np.concatenate([1.0 - np.arange(1, 2001) * 2.0 ** -53,
+                               1.0 - rng.random(5000) * 1e-6, 1.0 - rng.random(5000) * 1e-2])
+    spectra = [np.linalg.eigvalsh(reduced_state(haar_random_pure(n, SeededSampler(3).child(n, i)),
+                                                keep))
+               for n in range(3, 13) for i in range(6) for keep in ((0,), range(n // 2))]
+    x = np.concatenate([
+        [0.0, -0.0, smallest, 3 * smallest, tiny - smallest, tiny, 1.0],
+        np.geomspace(1e-300, 1.0, 40_001)[:-1],
+        near_one,
+        1.0 - near_one,
+        np.clip(np.concatenate(spectra), 0.0, 1.0),  # as _entropy clips them
+    ])
+    assert np.array_equal(_xlogx(x).view(np.uint64), xlogy(x, x).view(np.uint64))
+    assert _xlogx(0.25).shape == () and _xlogx(0.25) == xlogy(0.25, 0.25)
 
 
 @settings(max_examples=60, deadline=None)
