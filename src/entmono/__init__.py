@@ -31,6 +31,7 @@ from .monogamy import (
     BoundKind,
     BoundReport,
     PartitionSpec,
+    alpha_grid,
     evaluate,
     profile,
     residual_sweep,
@@ -46,7 +47,6 @@ from .states import (
 )
 from .engine import CampaignConfig, CampaignResult, campaign_state, run_campaign
 from .statefile import load_state_file, save_state_file
-from .harness import alpha_grid
 
 __version__ = "0.1.0"
 

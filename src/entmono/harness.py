@@ -32,6 +32,7 @@ from .monogamy import (
     ALPHA_MIN_EOF,
     BoundId,
     PartitionSpec,
+    alpha_grid,
     check_split_index,
     family_kinds,
     known_tails,
@@ -42,7 +43,6 @@ from .monogamy import (
 from .states import generalized_schmidt, w_state
 from .statefile import _as_pure, load_state_file
 
-MAX_GRID_POINTS = 10_000
 _SCHMIDT_FLAT = (math.sqrt(5.0) / 5.0,) * 5
 
 _EXAMPLE_SETUPS = {
@@ -53,21 +53,6 @@ _EXAMPLE_SETUPS = {
     3: ("three-qubit W state, EoF bounds",
         BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_ALPHA_POWER, (ALPHA_MIN_EOF, 4.0, 0.05)),
 }
-
-
-def alpha_grid(lo: float, hi: float, step: float) -> tuple:
-    """Inclusive grid lo, lo+step, ... up to hi (within float tolerance)."""
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValueError("alpha grid bounds and step must be finite")
-    if step <= 0.0:
-        raise ValueError("alpha step must be positive")
-    if hi < lo:
-        raise ValueError("alpha range is empty")
-    span = (hi - lo) / step
-    if not span < MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
-        raise ValueError(f"alpha grid would exceed {MAX_GRID_POINTS} points")
-    count = int(math.floor(span + 1e-9)) + 1
-    return tuple(lo + k * step for k in range(count))
 
 
 # ------------------------------------------------------------------- commands

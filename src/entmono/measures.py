@@ -38,7 +38,9 @@ the CPU.
 
 convex_roof_upper_bound is a randomized decomposition search used as an
 independent oracle against the closed forms. It only ever overestimates
-the convex roof, so oracle >= closed form up to roundoff.
+the convex roof, so oracle >= closed form up to roundoff. It draws trials
+in order, ROOF_CHUNK (a multiple of 3) at a time, so its memory is bounded,
+and scores the trials of a chunk that mix rank + t % 3 columns as one batch.
 """
 
 import math
@@ -55,6 +57,7 @@ _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y).real  # real symmetric, squares to iden
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 # how far below zero the bound must lie before a matrix skips the exact path
 SCREEN_MARGIN = 1e-3
+ROOF_CHUNK = 3 * 512  # trials per batch of convex_roof_upper_bound (see above)
 
 
 def _unit_interval(x, what: str) -> np.ndarray:
@@ -172,18 +175,17 @@ def eof_two_qubit_mixed(rho) -> float:
     return eof_from_squared_concurrence(c * c)
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    # QR alone is not Haar; fixing the phases of r's diagonal makes it so
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _pair_values(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    weights = (np.abs(cols) ** 2).sum(axis=0)
-    cross = 2.0 * np.abs(cols[0] * cols[3] - cols[1] * cols[2])
-    return weights, cross
+def _decomposition_average(pieces: np.ndarray, measure: str) -> np.ndarray:
+    """Weighted averages of a measure over unnormalised decompositions stacked (K, 4, r)."""
+    weights = (np.abs(pieces) ** 2).sum(axis=-2)
+    # for an unnormalised piece, weight * C(piece / norm) = cross as is
+    cross = 2.0 * np.abs(pieces[:, 0] * pieces[:, 3] - pieces[:, 1] * pieces[:, 2])
+    if measure == "concurrence":
+        return cross.sum(axis=-1)
+    # a piece of weight <= 1e-300 gets c2 = 0, so its term is an exact zero
+    ratio = np.divide(cross, weights, out=np.zeros_like(weights), where=weights > 1e-300)
+    c2 = np.minimum(1.0, ratio ** 2)
+    return (weights * eof_from_squared_concurrence(c2)).sum(axis=-1)
 
 
 def convex_roof_upper_bound(rho, measure: str = "concurrence",
@@ -206,22 +208,19 @@ def convex_roof_upper_bound(rho, measure: str = "concurrence",
     lam = np.clip(lam, 0.0, None)
     rank = max(1, int((lam > 1e-12).sum()))
     cols = (vec * np.sqrt(lam))[:, -rank:]
-
-    def average(pieces: np.ndarray) -> float:
-        weights, cross = _pair_values(pieces)
-        if measure == "concurrence":
-            # for an unnormalized piece, weight * C(piece/norm) = cross as is
-            return float(cross.sum())
-        mask = weights > 1e-300
-        c2 = np.zeros_like(weights)
-        c2[mask] = np.minimum(1.0, (cross[mask] / weights[mask]) ** 2)
-        vals = weights[mask] * eof_from_squared_concurrence(c2[mask])
-        return float(vals.sum())
-
+    best = _decomposition_average(cols[None], measure)[0]  # the spectral decomposition itself
     rng = np.random.default_rng(seed)
-    best = average(cols)  # the spectral decomposition itself
-    for t in range(trials):
-        size = rank + (t % 3)
-        mixer = _haar_unitary(size, rng)[:, :rank]
-        best = min(best, average(cols @ mixer.T))
-    return best
+    widths = [2 * (rank + extra) ** 2 for extra in range(3)]  # normals per trial
+    for start in range(0, trials, ROOF_CHUNK):
+        count = min(ROOF_CHUNK, trials - start)
+        # row j holds the normals of trials 3j, 3j+1, 3j+2 in stream order; a
+        # last partial row draws normals that no trial scores
+        draws = rng.standard_normal((-(-count // 3), sum(widths)))
+        for extra, z in enumerate(np.split(draws, np.cumsum(widths[:2]), axis=1)):
+            z = z[:len(range(extra, count, 3))].reshape(-1, 2, rank + extra, rank + extra)
+            q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+            # QR alone is not Haar; fixing the phases of r's diagonal makes it so
+            d = np.diagonal(r, axis1=-2, axis2=-1)
+            mixers = (q * (d / np.abs(d))[:, None, :])[..., :rank].swapaxes(-1, -2)
+            best = np.min(_decomposition_average(cols @ mixers, measure), initial=best)
+    return float(best)

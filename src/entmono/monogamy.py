@@ -67,6 +67,7 @@ DROP_ATOL = 1e-12
 STRICT_PAIR_FLOOR = 1e-6
 STRICT_SLACK_FLOOR = 1e-14
 POWER_ATOL = 1e-12
+MAX_GRID_POINTS = 10_000
 
 # three-valued verdicts, ordered so that folding several is their min
 FAILS, UNDECIDED, HOLDS = 0, 1, 2
@@ -460,12 +461,11 @@ def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alph
     base, values = ((block.e_focus, block.e_pair) if family.measure == "E"
                     else (block.c_focus, block.c_pair))
     s, k = values.shape
-    if decision.m_used is None:  # one table, broadcast over the rows
-        coeffs = _coefficient_table(family, alphas, k, None)[None]
-    else:
-        coeffs = np.empty((s, len(alphas), k))
-        for m in np.unique(decision.m_used):
-            coeffs[decision.m_used == m] = _coefficient_table(family, alphas, k, int(m))
+    # shapes without a split index ignore it, so their rows all take index 0
+    m_used = np.zeros(s, int) if decision.m_used is None else decision.m_used
+    coeffs = np.empty((s, len(alphas), k))
+    for m in np.unique(m_used):
+        coeffs[m_used == m] = _coefficient_table(family, alphas, k, int(m))
     powered = _powers(base, values, alphas)
     # a stack of 1-D dot products: the same FMA chain as coeffs @ values
     rhs = (coeffs[:, :, None, :] @ powered[..., 1:, None])[..., 0, 0]
@@ -557,6 +557,21 @@ class AlphaSweep:
         for a, y1, y2 in zip(self.alphas, self.y1, self.y2):
             lines.append(f"{a:.17g},{y1:.17g},{y2:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def alpha_grid(lo: float, hi: float, step: float) -> tuple:
+    """Inclusive grid lo, lo+step, ... up to hi (within float tolerance)."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("alpha grid bounds and step must be finite")
+    if step <= 0.0:
+        raise ValueError("alpha step must be positive")
+    if hi < lo:
+        raise ValueError("alpha range is empty")
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
+        raise ValueError(f"alpha grid would exceed {MAX_GRID_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
+    return tuple(lo + k * step for k in range(count))
 
 
 def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,

@@ -319,7 +319,8 @@ def test_cli_measure_pure(tmp_path):
 
 
 def test_import_and_measure_load_no_scipy(tmp_path):
-    # importing scipy.special takes about half of an entmono start-up
+    # importing scipy.special takes about half of an entmono start-up; the
+    # library alone loads neither the CLI module nor argparse
     state = tmp_path / "w3.json"
     save_state_file(str(state), amplitudes=w_state(3))
     argv = ["measure", "--state", str(state), "--out", str(tmp_path / "m.json")]
@@ -328,6 +329,7 @@ def test_import_and_measure_load_no_scipy(tmp_path):
         "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "import entmono",
         "print(scipy_modules())",
+        "print([m for m in ('argparse', 'entmono.harness') if m in sys.modules])",
         "from entmono.harness import main",
         f"assert main({argv!r}) == 0",
         "print(scipy_modules())",
@@ -336,7 +338,7 @@ def test_import_and_measure_load_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "[]", "[]"]
     assert json.loads((tmp_path / "m.json").read_text())["pure"] is True
 
 

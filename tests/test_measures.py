@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import w_class_state
 
 from entmono.linalg import reduced_state
 from entmono.measures import (
+    ROOF_CHUNK,
     SCREEN_MARGIN,
     _binary_entropy,
     _entropy,
@@ -248,6 +250,13 @@ def test_convex_roof_upper_bounds_closed_forms():
         assert roof_c >= wootters_concurrence(rho) - 1e-8
         roof_e = convex_roof_upper_bound(rho, measure="eof", trials=120, seed=i)
         assert roof_e >= eof_two_qubit_mixed(rho) - 1e-8
+        if i < 2:  # ranks 2 and 4: a larger budget's trials extend a smaller one's, in order
+            for measure in ("concurrence", "eof"):
+                roof = partial(convex_roof_upper_bound, rho, measure, seed=i)
+                small = [roof(b) for b in range(1, 10)]
+                assert small == sorted(small, reverse=True)
+                assert roof(500) <= roof(50)
+                assert roof(ROOF_CHUNK + 1) <= roof(ROOF_CHUNK)
 
 
 def test_convex_roof_rejects_bad_arguments():

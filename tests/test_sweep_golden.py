@@ -12,12 +12,16 @@ except 2.3e-13 (1 ulp) at a residual of -1111 in wclass11, and 3.1e-15 in
 wclass4, whose pair concurrences also moved when _wootters began to zero
 rounding-level eigenvalues. The strings depend on the np.power loop that
 numpy's SIMD level selects (a vectorised pow on AVX-512, libm elsewhere).
+On a mismatch the message says, as tools/cli_parity.py does, whether only
+numbers moved, how many, and by how much in ulps: on an AVX2-only machine
+9 of the 14 files differ in float digits alone.
 The cases cover exact alpha = 2.0 and alpha = -1.0 grid points, a split
 family with a pinned and a free m, EoF grids, dropped pairs in the upper
 families (none, some and all), a negative-power grid that overflows, and 3
 to 12 qubits.
 """
 
+import importlib.util
 import math
 from pathlib import Path
 
@@ -32,6 +36,10 @@ from entmono.statefile import save_state_file
 from entmono.states import basis_state, w_state
 
 SWEEPS = Path(__file__).parent / "data" / "sweeps"
+_PARITY = importlib.util.spec_from_file_location(
+    "cli_parity", Path(__file__).parents[1] / "tools" / "cli_parity.py")
+cli_parity = importlib.util.module_from_spec(_PARITY)
+_PARITY.loader.exec_module(cli_parity)
 
 
 def _bell_with_spectator():
@@ -106,4 +114,6 @@ def run_case(name: str, tmp: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sweep_csv_matches_recorded(name, tmp_path):
     want = (SWEEPS / f"{name}.csv").read_text(encoding="utf-8")
-    assert run_case(name, tmp_path) == want
+    got = run_case(name, tmp_path)
+    assert got == want, (f"{name}.csv: {cli_parity._moved(want, got)}; a few ulp alone point "
+                         "at numpy's SIMD level, see the module docstring")
