@@ -1,44 +1,31 @@
 """Residual curves for the three bundled scenarios.
 
-For each scenario the script profiles the state, sweeps a tightened bound
-against its baseline over a power grid, and writes alpha,y1,y2 CSV next to
-this file. y = lhs - rhs, so for the lower bounds both curves stay above
-zero and the tightened curve sits below the baseline; for the negative
-powers the mean-form curve sits above the summed form and below zero.
+For each scenario the script runs ``entmono example --id k``, which profiles
+the state, sweeps a tightened bound against its baseline over a power grid,
+and writes alpha,y1,y2 CSV next to this file; the scenarios themselves are
+defined once, in entmono.harness. y = lhs - rhs, so for the lower bounds
+both curves stay above zero and the tightened curve sits below the
+baseline; for the negative powers the mean-form curve sits above the
+summed form and below zero.
 """
 
-import math
 import pathlib
 
-from entmono import BoundId, alpha_grid, generalized_schmidt, profile, residual_sweep, w_state
+from entmono.harness import main
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-flat = generalized_schmidt((math.sqrt(5.0) / 5.0,) * 5)
-
-scenarios = [
-    ("tripartite", flat, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER,
-     alpha_grid(2.0, 5.0, 0.05)),
-    ("negative_powers", flat, BoundId.UPPER_MEAN, BoundId.UPPER_SUM,
-     alpha_grid(-5.0, -0.05, 0.05)),
-    ("eof_w_state", w_state(3), BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_ALPHA_POWER,
-     alpha_grid(math.sqrt(2.0), 4.0, 0.05)),
-]
-
-for name, state, tight, base, grid in scenarios:
-    prof = profile(state)
-    sweep = residual_sweep(prof, tight, base, grid)
+for k, name in enumerate(("tripartite", "negative_powers", "eof_w_state"), start=1):
     out = HERE / f"residuals_{name}.csv"
-    out.write_text(sweep.to_csv())
-    gap = [b - a for a, b in zip(sweep.y1, sweep.y2)]
-    print(f"{name}: C(A|rest) = {prof.c_focus[0]:.6f}, pairs = "
-          f"{tuple(round(c, 6) for c in prof.c_pair[0].tolist())}")
-    print(f"  {tight.value} vs {base.value} on {len(grid)} powers "
-          f"[{grid[0]:.4g}, {grid[-1]:.4g}]")
-    print(f"  y1 range [{min(sweep.y1):.6f}, {max(sweep.y1):.6f}], "
+    if main(["example", "--id", str(k), "--out", str(out)]) != 0:
+        raise SystemExit(f"entmono example --id {k} failed")
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    y1 = [row[1] for row in rows]
+    gap = [row[2] - row[1] for row in rows]
+    print(f"  y1 range [{min(y1):.6f}, {max(y1):.6f}], "
           f"largest curve gap {max(gap, key=abs):.6f}")
     print(f"  wrote {out.name}")
-    print()
+    print(flush=True)  # before the next example's summary on stderr
 
 print("The curves meet where the coefficient families coincide: at the")
 print("power 2 for concurrence bounds and sqrt(2) for the EoF bounds.")

@@ -43,14 +43,15 @@ from .monogamy import (
 from .states import generalized_schmidt, w_state
 from .statefile import _as_pure, load_state_file
 
-_SCHMIDT_FLAT = (math.sqrt(5.0) / 5.0,) * 5
+_SCHMIDT_FLAT = functools.partial(generalized_schmidt, (math.sqrt(5.0) / 5.0,) * 5)
 
+# label, state, tightened bound, baseline, default grid; demos/residual_curves.py runs these
 _EXAMPLE_SETUPS = {
-    1: ("generalized Schmidt state, flat coefficients",
+    1: ("generalized Schmidt state, flat coefficients", _SCHMIDT_FLAT,
         BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0, 5.0, 0.05)),
-    2: ("generalized Schmidt state, negative powers",
+    2: ("generalized Schmidt state, negative powers", _SCHMIDT_FLAT,
         BoundId.UPPER_MEAN, BoundId.UPPER_SUM, (-5.0, -0.05, 0.05)),
-    3: ("three-qubit W state, EoF bounds",
+    3: ("three-qubit W state, EoF bounds", functools.partial(w_state, 3),
         BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_ALPHA_POWER, (ALPHA_MIN_EOF, 4.0, 0.05)),
 }
 
@@ -77,10 +78,9 @@ def _grid_from_args(args, default: tuple | None):
 
 
 def cmd_example(args) -> int:
-    label, tight, base, default_grid = _EXAMPLE_SETUPS[args.id]
+    label, state, tight, base, default_grid = _EXAMPLE_SETUPS[args.id]
     grid = _grid_from_args(args, default_grid)
-    state = w_state(3) if args.id == 3 else generalized_schmidt(_SCHMIDT_FLAT)
-    prof = profile(state)
+    prof = profile(state())
     sweep = residual_sweep(prof, tight, base, grid)
     print(f"# example {args.id}: {label}", file=sys.stderr)
     print(f"# C(A|rest) = {prof.c_focus[0]:.12g}  pairs = "
@@ -146,20 +146,18 @@ def cmd_verify(args) -> int:
     return 0 if result.all_passed else 1
 
 
-def _partition_from_args(args, num_qubits: int) -> PartitionSpec:
-    focus = args.focus
-    if args.order is not None:
-        rest = tuple(args.order)
-    else:
-        rest = tuple(q for q in range(num_qubits) if q != focus)
-    return PartitionSpec(focus, rest)
+def _load_partitioned(args) -> tuple:
+    """The --state file, its partition from --focus and --order (validated), and _as_pure."""
+    loaded = load_state_file(args.state)
+    n = loaded.num_qubits
+    rest = args.order if args.order is not None else [q for q in range(n) if q != args.focus]
+    part = PartitionSpec(args.focus, rest)
+    part.validate(n)
+    return loaded, part, _as_pure(loaded)
 
 
 def cmd_measure(args) -> int:
-    loaded = load_state_file(args.state)
-    part = _partition_from_args(args, loaded.num_qubits)
-    part.validate(loaded.num_qubits)
-    pure = _as_pure(loaded)
+    loaded, part, pure = _load_partitioned(args)
     if pure is not None:
         prof = profile_batch(pure[None], part)
         focus = (prof.c_focus.tolist()[0], prof.e_focus.tolist()[0])
@@ -189,12 +187,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    loaded = load_state_file(args.state)
-    pure = _as_pure(loaded)
+    _, part, pure = _load_partitioned(args)
     if pure is None:
         raise ValueError("sweep needs a pure state (amplitudes or a rank-one density matrix)")
-    part = _partition_from_args(args, loaded.num_qubits)
-    part.validate(loaded.num_qubits)
     grid = _grid_from_args(args, None)
     prof = profile_batch(pure[None], part)
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)

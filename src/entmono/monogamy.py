@@ -331,12 +331,10 @@ def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
 
 def _coefficient_table(family: _Family, alphas, k: int, m: int | None) -> np.ndarray:
     """(A, k) pair coefficients of a lower family, one row per power; a huge power gives inf."""
-    if family.shape == "unit":
-        return np.ones((len(alphas), k))
-    if family.shape == "ordered":
-        exponents = list(range(k))
-    else:  # split: 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
+    if family.shape == "split":  # 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
         exponents = [*range(m), *[m + 1] * (k - 1 - m), m]
+    else:  # ordered: ratio^(i-1) on the i-th pair; unit: ratio^0, exactly 1.0
+        exponents = list(range(k)) if family.shape == "ordered" else [0] * k
     # the ratio is alpha over the least allowed power, so a tightened family
     # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
     ratios = np.array(alphas, float) / family.powers[0]
@@ -376,18 +374,14 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     pairs = c_pair[:, :-1]
     undecided = np.isnan(tails)
     ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - COMPARISON_ATOL, HOLDS, FAILS))
-    le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
-
-    def verdicts_at(m_: int | None) -> np.ndarray:
-        return np.where(np.array(_relations(shape, k + 1, m_)) == ">=", ge, le)
-
     if shape == "ordered":
-        verdicts = verdicts_at(None)
-        return _Decision(verdicts, _fold(verdicts), None)
+        return _Decision(ge, _fold(ge), None)
+    le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
+    index = np.arange(k - 1)  # condition i = index + 1 is >= exactly when i <= m
     # a free split index prefers the largest m whose decided conditions do
     # not fail; a row where every m fails falls back to the largest
     first = k - 2 if m is None else m
-    verdicts = verdicts_at(first)
+    verdicts = np.where(index < first, ge, le)
     applicable = _fold(verdicts)
     m_used = np.full(s, first)
     chosen = applicable != FAILS
@@ -395,7 +389,7 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     for m_ in smaller:
         if chosen.all():
             break
-        at_m = verdicts_at(m_)
+        at_m = np.where(index < m_, ge, le)
         folded = _fold(at_m)
         take = ~chosen & (folded != FAILS)
         verdicts[take], applicable[take], m_used[take] = at_m[take], folded[take], m_
@@ -591,12 +585,10 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     kinds = [BoundKind(b, grid[0], _split_only(BoundId(b), m)) for b in (tightened, baseline)]
     families = [_family_on(kind, block) for kind in kinds]
     points = np.array(grid)
-    bad = np.array([~(np.isfinite(points) & family.allows(points)) for family in families])
+    bad = ~(np.isfinite(points) & families[0].allows(points) & families[1].allows(points))
     if bad.any():  # the first bad point, and at it the tightened bound first
-        j = bad.any(axis=0).argmax()
-        i = bad[:, j].argmax()
-        families[i].check_power(kinds[i].id, grid[j])
-        raise AssertionError(f"the grid mask and check_power disagree at alpha = {grid[j]}")
+        for kind, family in zip(kinds, families):
+            family.check_power(kind.id, grid[bad.argmax()])
     curves, applicable = [], []
     for kind, family in zip(kinds, families):
         v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), grid)

@@ -72,19 +72,14 @@ def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
     if (amplitudes is None) == (density_matrix is None):
         raise ValueError("exactly one of amplitudes or density_matrix is required")
     if amplitudes is not None:
-        vec = as_state_vector(amplitudes)
-        payload = {
-            "format_version": STATE_FORMAT_VERSION,
-            "num_qubits": num_qubits_of(vec.shape[0]),
-            "amplitudes": [[float(z.real), float(z.imag)] for z in vec],
-        }
+        key, state = "amplitudes", as_state_vector(amplitudes)
     else:
-        rho = as_density_matrix(density_matrix)
-        payload = {
-            "format_version": STATE_FORMAT_VERSION,
-            "num_qubits": num_qubits_of(rho.shape[0]),
-            "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)],
-        }
+        key, state = "density_matrix", as_density_matrix(density_matrix)
+    payload = {
+        "format_version": STATE_FORMAT_VERSION,
+        "num_qubits": num_qubits_of(state.shape[0]),
+        key: [[float(z.real), float(z.imag)] for z in state.reshape(-1)],
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -259,6 +259,39 @@ def test_convex_roof_upper_bounds_closed_forms():
                 assert roof(ROOF_CHUNK + 1) <= roof(ROOF_CHUNK)
 
 
+# convex_roof_upper_bound(rho, measure, trials, seed=i) on random_mixed(2, 1 + i,
+# SeededSampler(77 + i)), recorded from one generator drawn in trial order
+ROOF_STREAM = {
+    (0, "concurrence", 500): 0.31420235260135804,
+    (0, "concurrence", ROOF_CHUNK + 1): 0.3141664292661855,
+    (0, "concurrence", 2 * ROOF_CHUNK): 0.3141664292661855,
+    (0, "eof", 500): 0.17533511788384418,
+    (0, "eof", ROOF_CHUNK + 1): 0.17198357477230086,
+    (0, "eof", 2 * ROOF_CHUNK): 0.17034884482587598,  # found in the second chunk
+    (1, "concurrence", 500): 0.2403731797929341,
+    (1, "concurrence", ROOF_CHUNK + 1): 0.2403731797929341,
+    (1, "concurrence", 2 * ROOF_CHUNK): 0.2403731797929341,
+    (1, "eof", 500): 0.12434365601437085,
+    (1, "eof", ROOF_CHUNK + 1): 0.12434365601437085,
+    (1, "eof", 2 * ROOF_CHUNK): 0.12434365601437085,
+}
+
+
+@pytest.mark.parametrize("key", ROOF_STREAM, ids=str)
+def test_convex_roof_pins_its_stream_for_a_seed(key):
+    """A rank-2 (i = 0) and a rank-4 (i = 1) state, within one chunk and across two.
+
+    Reseeding the generator at each chunk start keeps the first chunk's
+    stream, so only the trials of a second chunk can show it; at
+    2 * ROOF_CHUNK they are scored in full.
+    """
+    i, measure, trials = key
+    rho = random_mixed(2, 1 + i, SeededSampler(77 + i))
+    assert rho.shape == (4, 4) and np.linalg.matrix_rank(rho, tol=1e-12) == 2 * (1 + i)
+    got = convex_roof_upper_bound(rho, measure, trials, seed=i)
+    assert abs(got - ROOF_STREAM[key]) <= 1e-12
+
+
 def test_convex_roof_rejects_bad_arguments():
     rho = np.eye(4, dtype=complex) / 4
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -620,6 +621,17 @@ def test_residual_sweep_validates_grid():
     # a bad point inside the grid, named for the tightened bound, which is checked first
     with pytest.raises(ValueError, match="tight-tripartite requires 2 <= alpha < inf, got 1.5"):
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0, 1.5))
+    # the first bad point wins, even where only the baseline is bad
+    with pytest.raises(ValueError, match=re.escape("ckw requires alpha = 2, got 2.5")):
+        residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.CKW, (2.0, 2.5, 1.5))
+    # both bounds are bad at 1.5: the tightened one is named
+    with pytest.raises(ValueError, match=re.escape("ckw requires alpha = 2, got 1.5")):
+        residual_sweep(prof, BoundId.CKW, BoundId.TIGHT_TRIPARTITE, (2.0, 1.5))
+    with pytest.raises(ValueError, match="alpha must be finite, got nan"):
+        residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0, math.nan, 3.0))
+    # -inf is below 0, so the negative-power families' range alone would allow it
+    with pytest.raises(ValueError, match="alpha must be finite, got -inf"):
+        residual_sweep(prof, BoundId.UPPER_MEAN, BoundId.UPPER_SUM, (-1.0, -math.inf))
 
 
 def test_residual_sweep_rejects_an_unused_split_index():

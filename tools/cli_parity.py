@@ -8,8 +8,9 @@ stdout and stderr of the two runs are compared, with the elapsed seconds
 that ``verify`` prints on stderr masked. Every command that differs is
 printed, and the exit status is 1 if any does, else 0. Under each one, a
 line per differing stream says whether only numbers moved and, if so, the
-largest absolute difference and the largest distance in ulps over the
-numbers aligned by position.
+largest absolute difference over the numbers aligned by position, the
+largest distance in ulps over those that stay nonzero and keep their sign,
+and how many moved to, from or through zero.
 
 The state files the commands read are written first, into a temporary
 directory, with numpy and json alone, so neither tree writes its own input.
@@ -118,8 +119,14 @@ def _moved(before: str, after: str) -> str:
     if any(math.isnan(b) or math.isnan(a) for b, a in moved):
         return f"only numbers moved ({len(moved)}), one of them to or from NaN"
     largest = max((abs(a - b) for b, a in moved), default=0.0)
-    ulps = max((abs(_ulp_index(a) - _ulp_index(b)) for b, a in moved), default=0)
-    return f"only numbers moved ({len(moved)}), largest by {largest:.3g}, {ulps} ulp"
+    text = f"only numbers moved ({len(moved)}), largest by {largest:.3g}"
+    # an ulp distance means something only between two nonzero numbers of one sign
+    kept = [(b, a) for b, a in moved if b != 0.0 and a != 0.0 and (b > 0.0) == (a > 0.0)]
+    if kept:
+        text += f", {max(abs(_ulp_index(a) - _ulp_index(b)) for b, a in kept)} ulp"
+    if len(kept) < len(moved):
+        text += f", {len(moved) - len(kept)} to, from or through zero"
+    return text
 
 
 def _run(src: str, argv: list) -> tuple:
