@@ -161,7 +161,7 @@ def cmd_measure(args) -> int:
     if pure is not None:
         prof = profile_batch(pure[None], part)
         focus = (prof.c_focus.tolist()[0], prof.e_focus.tolist()[0])
-        pairs = (prof.c_pair[0].tolist(), prof.e_pair[0].tolist())
+        c_pair = prof.c_pair[0]
         tails = known_tails(prof)
         note = ("tail concurrences of mixed reductions have no closed form"
                 if None in tails else "")
@@ -170,9 +170,9 @@ def cmd_measure(args) -> int:
         # rho was checked on loading, so its pair reductions go to one stacked solve
         c_pair = _wootters(np.stack([partial_trace(rho, (part.focus, b)) for b in part.rest]))
         focus = (None, None)
-        pairs = (c_pair.tolist(), eof_from_squared_concurrence(np.square(c_pair)).tolist())
         tails = [None] * (loaded.num_qubits - 2)
         note = "mixed input: only pairwise closed forms are available"
+    pairs = (c_pair.tolist(), eof_from_squared_concurrence(np.square(c_pair)).tolist())
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "num_qubits": loaded.num_qubits,

@@ -12,11 +12,11 @@ Lower bound families on concurrence (alpha >= 2):
                     C^a >= C^a(A,B1) + (a/2) C^a(A,B2) when C(A,B1) >= C(A,B2)
   tight-ordered     coefficient (a/2)^(i-1) on the i-th pair term, valid
                     when C(A,B_i) >= C(A|B_{i+1}..B_{N-1}) for all i <= N-2
-  tight-split       N >= 4: the ordering holds up to index m and reverses
-                    afterwards; coefficients run 1 .. (a/2)^(m-1), then
-                    (a/2)^(m+1) on the middle block and (a/2)^m on the
-                    last term. The largest admissible m is chosen when not
-                    pinned explicitly.
+  tight-split       N >= 4: condition i reads >= for i <= m and <= after it;
+                    coefficients run 1 .. (a/2)^(m-1), then (a/2)^(m+1) on
+                    the middle block and (a/2)^m on the last term. The
+                    largest admissible m is chosen unless m is pinned.
+                    tight-ordered is exactly tight-split at m = N-2.
 
 Entanglement-of-formation families (alpha >= sqrt(2)) mirror these with
 ratio t = alpha/sqrt(2) in place of alpha/2; their ordering conditions are
@@ -69,8 +69,9 @@ STRICT_SLACK_FLOOR = 1e-14
 POWER_ATOL = 1e-12
 MAX_GRID_POINTS = 10_000
 
-# three-valued verdicts, ordered so that folding several is their min
-FAILS, UNDECIDED, HOLDS = 0, 1, 2
+# three-valued verdicts, ordered so that folding several is their min, and
+# one byte each so that _decide's stack of candidate split indices stays small
+FAILS, UNDECIDED, HOLDS = np.int8(0), np.int8(1), np.int8(2)
 _VERDICT = (False, None, True)
 
 ALPHA_MIN_CONCURRENCE = 2.0
@@ -329,23 +330,15 @@ def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
     return _FAMILIES[kind.id]
 
 
-def _coefficient_table(family: _Family, alphas, k: int, m: int | None) -> np.ndarray:
-    """(A, k) pair coefficients of a lower family, one row per power; a huge power gives inf."""
-    if family.shape == "split":  # 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m
-        exponents = [*range(m), *[m + 1] * (k - 1 - m), m]
-    else:  # ordered: ratio^(i-1) on the i-th pair; unit: ratio^0, exactly 1.0
-        exponents = list(range(k)) if family.shape == "ordered" else [0] * k
+def _coefficient_table(family: _Family, alphas, k: int, m: int) -> np.ndarray:
+    """(A, k) pair coefficients of a lower family at split index m; a huge power gives inf."""
+    # 1 .. ratio^(m-1), middle block at ratio^(m+1), last at ratio^m (at m = N-2
+    # ratio^(i-1) on the i-th pair: ordered); unit: ratio^0, exactly 1.0
+    exponents = [0] * k if family.shape == "unit" else [*range(m), *[m + 1] * (k - 1 - m), m]
     # the ratio is alpha over the least allowed power, so a tightened family
     # meets its unit baseline there (alpha = 2, or sqrt(2) for EoF)
     ratios = np.array(alphas, float) / family.powers[0]
     return np.power(ratios[:, None], exponents)
-
-
-def _relations(shape: str, num_parties: int, m: int | None) -> tuple:
-    """The relation of each ordering condition i = 1..N-2 of a shape at split index m."""
-    if shape == "ordered":
-        return (">=",) * (num_parties - 2)
-    return (">=",) * m + ("<=",) * (num_parties - 2 - m)
 
 
 class _Decision(NamedTuple):
@@ -353,7 +346,7 @@ class _Decision(NamedTuple):
 
     verdicts: np.ndarray    # (S, N-2) per condition i = 1..N-2; (S, 0) for shapes without
     applicable: np.ndarray  # (S,) the verdicts folded
-    m_used: np.ndarray | None  # (S,) the split index each row uses; None unless split
+    m_used: np.ndarray      # (S,) the split index each row uses: N-2 if ordered, 0 if unit
 
 
 def _fold(verdicts: np.ndarray) -> np.ndarray:
@@ -365,36 +358,25 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     """Decide a shape's ordering conditions on (S, N-1) pair concurrences.
 
     Conditions involve concurrences only, never the power, so one decision
-    serves every power and every family of the shape.
+    serves every power and every family of the shape. The ordered shape is
+    the split shape at m = N-2; condition i is >= exactly when i <= m.
     """
     s, k = c_pair.shape
     if shape not in ("ordered", "split"):
-        return _Decision(np.empty((s, 0), int), np.full(s, HOLDS), None)
+        return _Decision(np.empty((s, 0), np.int8), np.full(s, HOLDS), np.zeros(s, int))
     tails = _tails(c_pair)
     pairs = c_pair[:, :-1]
     undecided = np.isnan(tails)
     ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - COMPARISON_ATOL, HOLDS, FAILS))
-    if shape == "ordered":
-        return _Decision(ge, _fold(ge), None)
     le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
-    index = np.arange(k - 1)  # condition i = index + 1 is >= exactly when i <= m
-    # a free split index prefers the largest m whose decided conditions do
-    # not fail; a row where every m fails falls back to the largest
-    first = k - 2 if m is None else m
-    verdicts = np.where(index < first, ge, le)
-    applicable = _fold(verdicts)
-    m_used = np.full(s, first)
-    chosen = applicable != FAILS
-    smaller = range(first - 1, 0, -1) if m is None else ()
-    for m_ in smaller:
-        if chosen.all():
-            break
-        at_m = np.where(index < m_, ge, le)
-        folded = _fold(at_m)
-        take = ~chosen & (folded != FAILS)
-        verdicts[take], applicable[take], m_used[take] = at_m[take], folded[take], m_
-        chosen |= take
-    return _Decision(verdicts, applicable, m_used)
+    # the candidate split indices, largest first: a free split index prefers
+    # the largest m whose decided conditions do not fail
+    ms = np.array([k - 1] if shape == "ordered" else range(k - 2, 0, -1) if m is None else [m])
+    verdicts = np.where(np.arange(k - 1) < ms[:, None, None], ge, le)  # (M, S, N-2)
+    folded = _fold(verdicts)
+    # a row where every candidate fails falls back to the largest (argmax of all False is 0)
+    pick, rows = np.argmax(folded != FAILS, axis=0), np.arange(s)
+    return _Decision(verdicts[pick, rows], folded[pick, rows], ms[pick])
 
 
 class Verdicts(NamedTuple):
@@ -455,11 +437,9 @@ def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alph
     base, values = ((block.e_focus, block.e_pair) if family.measure == "E"
                     else (block.c_focus, block.c_pair))
     s, k = values.shape
-    # shapes without a split index ignore it, so their rows all take index 0
-    m_used = np.zeros(s, int) if decision.m_used is None else decision.m_used
     coeffs = np.empty((s, len(alphas), k))
-    for m in np.unique(m_used):
-        coeffs[m_used == m] = _coefficient_table(family, alphas, k, int(m))
+    for m in np.unique(decision.m_used):
+        coeffs[decision.m_used == m] = _coefficient_table(family, alphas, k, int(m))
     powered = _powers(base, values, alphas)
     # a stack of 1-D dot products: the same FMA chain as coeffs @ values
     rhs = (coeffs[:, :, None, :] @ powered[..., 1:, None])[..., 0, 0]
@@ -514,14 +494,12 @@ def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
         return BoundReport(kind, "upper", lhs, rhs, slack, applicable,
                            dropped_pairs=tuple(np.flatnonzero(v.dropped[0]).tolist()),
                            strict=bool(v.strict[0, 0]), note=note)
-    m_used = None if v.decision.m_used is None else int(v.decision.m_used[0])
-    relations = (() if family.shape == "unit" else
-                 _relations(family.shape, block.c_pair.shape[1] + 1, m_used))
-    rows = zip(block.c_pair[0].tolist(), known_tails(block), relations, v.decision.verdicts[0])
-    checks = tuple(ConditionCheck(i, pair, tail, rel, _VERDICT[code])
-                   for i, (pair, tail, rel, code) in enumerate(rows, 1))
+    m = int(v.decision.m_used[0])
+    rows = zip(block.c_pair[0].tolist(), known_tails(block), v.decision.verdicts[0])
+    checks = tuple(ConditionCheck(i, pair, tail, ">=" if i <= m else "<=", _VERDICT[code])
+                   for i, (pair, tail, code) in enumerate(rows, 1))
     return BoundReport(kind, "lower", lhs, rhs, slack, applicable, conditions=checks,
-                       m_used=m_used, note=note)
+                       m_used=m if family.shape == "split" else None, note=note)
 
 
 @dataclass(frozen=True)

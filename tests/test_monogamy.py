@@ -10,6 +10,7 @@ from conftest import w_class_state
 
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import reduced_state
+from entmono import monogamy
 from entmono.measures import (
     concurrence_pure,
     eof_from_squared_concurrence,
@@ -19,6 +20,9 @@ from entmono.measures import (
 from entmono.monogamy import (
     _FAMILIES,
     ALPHA_MIN_EOF,
+    FAILS,
+    HOLDS,
+    UNDECIDED,
     BoundId,
     BoundKind,
     PartitionSpec,
@@ -162,8 +166,7 @@ def test_evaluate_batch_rows_equal_batches_of_one(n):
                 assert np.array_equal(whole.dropped[s], one.dropped[0])
                 assert np.array_equal(whole.decision.verdicts[s], decided.verdicts[0])
                 assert whole.decision.applicable[s] == decided.applicable[0]
-                if decided.m_used is not None:
-                    assert whole.decision.m_used[s] == decided.m_used[0]
+                assert whole.decision.m_used[s] == decided.m_used[0]
 
 
 # Grids for the oracle below: each holds numpy's fast-path exponents its
@@ -338,8 +341,13 @@ def test_evaluate_and_sweep_take_a_one_row_block():
 
 
 def _coeffs(bound, alpha, parties, m=None):
-    """The pair coefficients of a lower family's right-hand side at one split index."""
-    return _coefficient_table(_FAMILIES[bound], (alpha,), parties - 1, m)[0]
+    """The pair coefficients of a lower family's right-hand side at one split index.
+
+    An ordered family is the split shape at m = N - 2, so it takes that index.
+    """
+    family = _FAMILIES[bound]
+    m = parties - 2 if family.shape == "ordered" else m
+    return _coefficient_table(family, (alpha,), parties - 1, m)[0]
 
 
 def test_coefficients_unit_families():
@@ -519,6 +527,66 @@ def test_split_kind_auto_index():
         assert pinned.m_used == 1
     with pytest.raises(ValueError):
         evaluate(profile(campaign_state(3, 4, 0)), BoundKind(BoundId.TIGHT_SPLIT, 2.5, m=2))
+
+
+# Pair concurrences and decided tails at N = 6 (conditions i = 1..4, a free
+# split index tries m = 3, 2, 1). Real profiles never steer the search: only
+# their last tail is decided, and its condition reads <= for every m <= N - 3.
+_SEARCH_PAIRS = np.array([[0.5, 0.4, 0.1, 0.2, 0.0],
+                          [0.5, 0.4, 0.1, 0.6, 0.0],
+                          [0.5, 0.4, 0.1, 0.2, 0.0],
+                          [0.1, 0.4, 0.1, 0.2, 0.0]])
+_SEARCH_TAILS = np.array([[0.3, 0.4, 0.3, 0.3],
+                          [0.3, 0.4, 0.3, 0.3],
+                          [np.nan, np.nan, np.nan, 0.3],
+                          [np.nan, 0.4, 0.3, 0.3]])
+
+
+def test_split_index_search_on_decided_tails(monkeypatch):
+    monkeypatch.setattr(monogamy, "_tails", lambda c_pair: _SEARCH_TAILS)
+    H, U, F = HOLDS, UNDECIDED, FAILS
+    free = _decide(_SEARCH_PAIRS, "split", None)
+    # row 0: m = 3 fails on condition 3, m = 2 and m = 1 both hold: the largest
+    # that holds; row 1: every m fails on condition 4: the largest, failing;
+    # row 2: only condition 4 is decided; row 3: m = 3 fails and m = 2 is
+    # undecided, which does not fail
+    assert free.m_used.tolist() == [2, 3, 3, 2]
+    assert free.applicable.tolist() == [H, F, U, U]
+    assert free.verdicts.tolist() == [[H, H, H, H], [H, H, F, F], [U, U, U, H], [U, H, H, H]]
+    # a pinned m is taken as it is, never searched, even where another m holds
+    for m, applicable in ((1, [H, F, U, U]), (3, [F, F, U, F])):
+        pinned = _decide(_SEARCH_PAIRS, "split", m)
+        assert pinned.m_used.tolist() == [m] * 4
+        assert pinned.applicable.tolist() == applicable
+    # ordered decides every condition as >=: the split shape at m = N - 2,
+    # whose coefficients it shares too
+    ordered = _decide(_SEARCH_PAIRS, "ordered", None)
+    assert ordered.verdicts.tolist() == [[H, H, F, F], [H, H, F, H], [U, U, U, F], [U, H, F, F]]
+    split = _decide(_SEARCH_PAIRS, "split", 4)
+    assert np.array_equal(ordered.verdicts, split.verdicts)
+    assert np.array_equal(ordered.applicable, split.applicable)
+    block = ProfileBlock(np.full(4, 0.9), _SEARCH_PAIRS, np.full(4, 0.8), _SEARCH_PAIRS / 2)
+    for tight, tight_split in ((BoundId.TIGHT_ORDERED, BoundId.TIGHT_SPLIT),
+                               (BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_TIGHT_SPLIT)):
+        got = _evaluate_batch(block, _FAMILIES[tight], ordered, (2.0, 2.5, 3.0))
+        want = _evaluate_batch(block, _FAMILIES[tight_split], split, (2.0, 2.5, 3.0))
+        for a, b in zip(got[:6], want[:6]):  # lhs .. dropped
+            assert np.array_equal(a, b)
+
+
+def test_evaluate_reports_each_condition_relation():
+    for n in range(3, 7):
+        rep = evaluate(profile(w_class_state(n, 1)), BoundKind(BoundId.TIGHT_ORDERED, 2.5))
+        assert rep.m_used is None
+        assert [c.relation for c in rep.conditions] == [">="] * (n - 2)
+    prof = profile(w_class_state(5, 1))
+    pinned = evaluate(prof, BoundKind(BoundId.TIGHT_SPLIT, 2.5, m=1))
+    assert (pinned.m_used, tuple(c.relation for c in pinned.conditions)) == (1, (">=", "<=", "<="))
+    free = evaluate(prof, BoundKind(BoundId.TIGHT_SPLIT, 2.5))
+    assert (free.m_used, tuple(c.relation for c in free.conditions)) == (2, (">=", ">=", "<="))
+    for bound in (BoundId.CKW, BoundId.ALPHA_POWER, BoundId.EOF_ALPHA_POWER):
+        rep = evaluate(prof, BoundKind(bound, 2.0))
+        assert (rep.conditions, rep.m_used) == ((), None)
 
 
 def test_eof_bounds_on_w_state():
