@@ -3,25 +3,26 @@
 A campaign report is reproducible byte for byte: every sample's state is
 derived from the root seed via a spawn key (campaign_state replays it), and
 the report holds only deterministic fields. Samples are profiled in blocks
-of BLOCK_BYTES of amplitudes, and their profiles are evaluated BLOCK_BYTES // 16
-at a time; neither size changes a value in a report.
+of BLOCK_BYTES of amplitudes, in buffers allocated once per qubit count, and
+evaluated BLOCK_BYTES // 16 at a time; neither size changes a report value.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import MAX_QUBITS
 from .monogamy import (FAILS, HOLDS, STRICT_SLACK_FLOOR, UNDECIDED, PartitionSpec,
                        ProfileBlock, evaluate_block, profile_batch)
-from .states import SeededSampler, haar_random_pure
+from .states import SeededSampler, _haar_into, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
 DEFAULT_TOLERANCE = 1e-10
 # amplitude bytes (16 per amplitude) a campaign stacks into one profile_batch
-# block; blocks of more than about five 12-qubit states measured slower
+# block, four 12-qubit states; with the buffers reused, 2^17 measured 5 %
+# slower on verify-wide-light, and 2^20 no faster at 2.4 MB more peak RSS
 BLOCK_BYTES = 1 << 18
 
 
@@ -98,7 +99,7 @@ class CampaignResult:
                 "seed": self.config.seed,
                 "tolerance": self.config.tolerance,
             },
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [vars(r) for r in self.rows],  # shallow: json.dumps needs no copies
             "stats": self.stats,
             "all_passed": self.all_passed,
         }
@@ -133,11 +134,20 @@ def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
 
 
 def _profiles(seed: int, n: int, part: PartitionSpec, start: int, stop: int) -> ProfileBlock:
-    """Profiles of samples start..stop-1 at n qubits, taken BLOCK_BYTES of amplitudes at a time."""
-    size = max(1, BLOCK_BYTES // (2 ** n * 16))
-    blocks = [profile_batch(np.stack([campaign_state(seed, n, i)
-                                      for i in range(first, min(first + size, stop))]), part)
-              for first in range(start, stop, size)]
+    """Profiles of samples start..stop-1 at n qubits, taken BLOCK_BYTES of amplitudes at a time.
+
+    Every block draws its states into rows of one stack and reduces them
+    through one scratch, both allocated here, once for all the blocks.
+    """
+    dim = 2 ** n
+    stack = np.empty((min(max(1, BLOCK_BYTES // (dim * 16)), stop - start), dim), dtype=complex)
+    normals, scratch = np.empty((2, dim)), np.empty((2, stack.size), dtype=complex)
+    blocks = []
+    for first in range(start, stop, len(stack)):
+        rows = stack[:stop - first]  # the last block may be short
+        for i, row in enumerate(rows, first):
+            _haar_into(SeededSampler(seed, (n, i)), row, normals)  # what campaign_state replays
+        blocks.append(profile_batch(rows, part, scratch))
     return ProfileBlock(*map(np.concatenate, zip(*blocks)))
 
 

@@ -129,12 +129,12 @@ def _reduce(vecs: np.ndarray, kept: tuple, n: int, out: np.ndarray,
             scratch: np.ndarray) -> np.ndarray:
     """Reduced states of trusted (S, 2**n) vectors on a sorted, valid keep set, written into out.
 
-    out is (S, d, d) and scratch a (2, S * 2**n) complex buffer; nothing else
-    is allocated, so a caller that reuses them reduces without temporaries.
+    out is (S, d, d) and scratch a (2, >= S * 2**n) complex buffer; nothing
+    else is allocated, so a caller that reuses them reduces without temporaries.
     Returns out.
     """
     traced = tuple(q for q in range(n) if q not in kept)
-    block, conj = scratch.reshape(2, len(vecs), 2 ** len(kept), -1)
+    block, conj = scratch[:, :vecs.size].reshape(2, len(vecs), 2 ** len(kept), -1)
     np.copyto(block.reshape([-1] + [2] * n),
               vecs.reshape([-1] + [2] * n).transpose([0] + [1 + q for q in kept + traced]))
     np.conjugate(block, out=conj)

@@ -69,8 +69,8 @@ def _unit_interval(x, what: str) -> np.ndarray:
 
 
 def _xlogx(x) -> np.ndarray:
-    """x * log(x) of each element, with libm's log (see the module docstring); 0.0 at 0."""
-    flat = [v * math.log(v) if v else 0.0 for v in np.ravel(x).tolist()]
+    """x * log(x) of each element, with libm's log (see the module docstring); 0.0 at 0 and 1."""
+    flat = [v * math.log(v) if v != 0.0 and v != 1.0 else 0.0 for v in np.ravel(x).tolist()]
     return np.array(flat).reshape(np.shape(x))
 
 

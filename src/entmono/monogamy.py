@@ -282,19 +282,22 @@ def profile(psi, partition: PartitionSpec | None = None) -> ProfileBlock:
     return profile_batch(vec[None], part)
 
 
-def profile_batch(vecs: np.ndarray, part: PartitionSpec) -> ProfileBlock:
+def profile_batch(vecs: np.ndarray, part: PartitionSpec,
+                  scratch: np.ndarray | None = None) -> ProfileBlock:
     """Profiles of trusted pure states stacked (S, 2**n), one per row.
 
     part must already be validated for n qubits. Each quantity is taken
     for the whole block at once: one rho_A per row gives both C(A|rest) and
     E(A|rest), and the (focus, b) pair reductions go through one stacked
-    Wootters solve.
+    Wootters solve. scratch, a complex (2, >= S * 2**n) buffer, lets a
+    caller that profiles many blocks reuse one; none of its values is read.
     """
     n = vecs.shape[1].bit_length() - 1
     focus = part.focus
     # every reduction goes through one scratch buffer into one output, so a
     # block allocates the same few arrays however many pairs it has
-    scratch = np.empty((2, vecs.size), dtype=complex)
+    if scratch is None:
+        scratch = np.empty((2, vecs.size), dtype=complex)
     rho_a = _reduce(vecs, (focus,), n, np.empty((len(vecs), 2, 2), dtype=complex), scratch)
     rho_pairs = np.empty((len(vecs), len(part.rest), 4, 4), dtype=complex)
     for i, b in enumerate(part.rest):
@@ -349,9 +352,9 @@ class _Decision(NamedTuple):
     m_used: np.ndarray      # (S,) the split index each row uses: N-2 if ordered, 0 if unit
 
 
-def _fold(verdicts: np.ndarray) -> np.ndarray:
+def _fold(verdicts: np.ndarray, axis: int = -1) -> np.ndarray:
     """Fails if any verdict fails, else undecided if any is, else holds (a min)."""
-    return verdicts.min(axis=-1, initial=HOLDS)
+    return verdicts.min(axis=axis, initial=HOLDS)
 
 
 def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
@@ -364,19 +367,20 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     s, k = c_pair.shape
     if shape not in ("ordered", "split"):
         return _Decision(np.empty((s, 0), np.int8), np.full(s, HOLDS), np.zeros(s, int))
-    tails = _tails(c_pair)
-    pairs = c_pair[:, :-1]
+    # (N-2, S) with rows contiguous, so folding over conditions is elementwise
+    tails = np.ascontiguousarray(_tails(c_pair).T)
+    pairs = np.ascontiguousarray(c_pair[:, :-1].T)
     undecided = np.isnan(tails)
     ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - COMPARISON_ATOL, HOLDS, FAILS))
     le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
     # the candidate split indices, largest first: a free split index prefers
     # the largest m whose decided conditions do not fail
     ms = np.array([k - 1] if shape == "ordered" else range(k - 2, 0, -1) if m is None else [m])
-    verdicts = np.where(np.arange(k - 1) < ms[:, None, None], ge, le)  # (M, S, N-2)
-    folded = _fold(verdicts)
+    verdicts = np.where(np.arange(k - 1)[:, None] < ms[:, None, None], ge, le)  # (M, N-2, S)
+    folded = _fold(verdicts, axis=1)
     # a row where every candidate fails falls back to the largest (argmax of all False is 0)
     pick, rows = np.argmax(folded != FAILS, axis=0), np.arange(s)
-    return _Decision(verdicts[pick, rows], folded[pick, rows], ms[pick])
+    return _Decision(verdicts[pick, :, rows], folded[pick, rows], ms[pick])
 
 
 class Verdicts(NamedTuple):

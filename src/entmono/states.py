@@ -99,16 +99,24 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 
 def haar_random_pure(num_qubits: int, sampler: SeededSampler) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
-    n = _check_qubits(num_qubits)
+    dim = 2 ** _check_qubits(num_qubits)
+    return _haar_into(sampler, np.empty(dim, dtype=complex), np.empty((2, dim)))
+
+
+def _haar_into(sampler: SeededSampler, out: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Draw haar_random_pure's state from sampler into out, a contiguous complex (d,) array.
+
+    normals is a (2, d) float scratch: one draw of 2d normals gives the real
+    parts, then the imaginary parts, the same numbers as two draws of d.
+    """
     rng = sampler.rng()
-    vec = np.empty(2 ** n, dtype=complex)
     while True:
-        vec.real = rng.standard_normal(2 ** n)
-        vec.imag = rng.standard_normal(2 ** n)
-        norm = np.linalg.norm(vec)
+        rng.standard_normal(out=normals)
+        out.real, out.imag = normals
+        norm = np.linalg.norm(out)
         if norm > 1e-12:
-            vec /= norm
-            return vec
+            out /= norm
+            return out
 
 
 def random_mixed(num_qubits: int, ancilla_qubits: int, sampler: SeededSampler) -> np.ndarray:

@@ -23,7 +23,8 @@ from entmono.statefile import load_state_file, save_state_file
 from entmono.linalg import as_state_vector, partial_trace
 from entmono.measures import wootters_concurrence
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
-from entmono.states import SeededSampler, basis_state, ghz_state, random_mixed, w_state
+from entmono.states import (SeededSampler, _haar_into, basis_state, ghz_state, haar_random_pure,
+                            random_mixed, w_state)
 
 
 DATA = Path(__file__).parent / "data"
@@ -189,6 +190,64 @@ def test_run_campaign_block_size_changes_nothing(budget, monkeypatch):
     expected = run_campaign(config).to_json()
     monkeypatch.setattr(engine, "BLOCK_BYTES", budget)
     assert run_campaign(config).to_json() == expected
+
+
+def _two_draw_haar(seed, n, index):
+    """A campaign sample as first drawn: real parts, then imaginary parts, in two draws."""
+    rng = SeededSampler(seed).child(n, index).rng()
+    vec = np.empty(2 ** n, dtype=complex)
+    vec.real = rng.standard_normal(2 ** n)
+    vec.imag = rng.standard_normal(2 ** n)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("n, start, stop", [
+    (3, 0, 2049),  # blocks of 2048 and 1
+    (8, 0, 100),   # blocks of 64 and 36
+    (12, 0, 9),    # blocks of 4, 4 and 1
+    (12, 5, 11),   # a run that starts inside the stream: blocks of 4 and 2
+])
+def test_profiles_draw_in_place_what_campaign_state_replays(n, start, stop):
+    states = [campaign_state(6, n, i) for i in range(start, stop)]
+    for i, psi in zip(range(start, stop), states):
+        assert np.array_equal(psi, haar_random_pure(n, SeededSampler(6).child(n, i)))
+        assert np.array_equal(psi, _two_draw_haar(6, n, i))
+    part = monogamy.PartitionSpec.default(n)
+    want = monogamy.profile_batch(np.stack(states), part)
+    got = engine._profiles(6, n, part, start, stop)
+    for name, a, b in zip(want._fields, got, want):
+        assert a.shape == b.shape and (a == b).all(), name
+
+
+FAULT_PROBE = """
+import resource, sys
+if sys.argv[1] == "scipy":
+    import scipy.special
+from entmono.engine import CampaignConfig, run_campaign
+from entmono.monogamy import BoundId, BoundKind
+config = CampaignConfig(9, (12,), (BoundKind(BoundId.CKW, 2.0),), 0)
+for _ in range(2):  # the first frees of the large buffers move glibc's thresholds
+    run_campaign(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    run_campaign(config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+@pytest.mark.parametrize("first", ["entmono", "scipy"])
+def test_campaign_blocks_reuse_their_buffers(first):
+    # a block that allocated its 12-qubit stack and scratch afresh made about
+    # 450 minor faults per campaign whenever glibc had returned them to the
+    # kernel, which depends on what the process imported first
+    if first == "scipy":
+        pytest.importorskip("scipy.special")
+    env = {**os.environ, "PYTHONPATH": str(Path(entmono.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE, first], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 50
 
 
 def _assert_same_report(report, golden):
@@ -503,7 +562,7 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     def no_sampling(*args):
         raise AssertionError("a sample was drawn before the input was rejected")
 
-    monkeypatch.setattr(engine, "campaign_state", no_sampling)
+    monkeypatch.setattr(engine, "_haar_into", no_sampling)
     assert main(["verify", "--samples", "300"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -513,11 +572,11 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
 def test_run_campaign_samples_only_counts_with_rows(monkeypatch):
     drawn = []
 
-    def recording_state(seed, qubits, index):
-        drawn.append(qubits)
-        return campaign_state(seed, qubits, index)
+    def recording_state(sampler, out, normals):
+        drawn.append(sampler.spawn_key[0])  # the spawn key is (qubits, index)
+        return _haar_into(sampler, out, normals)
 
-    monkeypatch.setattr(engine, "campaign_state", recording_state)
+    monkeypatch.setattr(engine, "_haar_into", recording_state)
     kind = BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0)
     result = run_campaign(CampaignConfig(5, (3, 4), (kind,), 0))
     assert drawn == [3] * 5

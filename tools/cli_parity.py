@@ -16,8 +16,8 @@ The state files the commands read are written first, into a temporary
 directory, with numpy and json alone, so neither tree writes its own input.
 The list covers the three bundled examples, the -800, -1e3 and -inf example
 grids, campaigns at several qubit counts and seeds, one over a grid of
-powers, two with a pinned split index --m, a negative seed and a
-tolerance of -NaN, and
+powers, two with a pinned split index --m, one whose 12-qubit samples
+end on a short profile block, a negative seed and a tolerance of -NaN, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state. It is a check of behaviour kept
 across a change, so a change that means to alter behaviour shows its
@@ -97,6 +97,9 @@ def _commands(state_paths) -> list:
     for bound, m in (("tight-split", "1"), ("eof-tight-split", "2")):
         commands.append(["verify", "--samples", "100", "--qubits", "5,6", "--bound", bound,
                          "--m", m, "--seed", "3"])
+    # 9 samples at 12 qubits are profiled in blocks of 4, 4 and 1
+    commands.append(["verify", "--samples", "9", "--qubits", "12,7", "--bound", "ckw",
+                     "--bound", "tight-split", "--seed", "5"])
     commands.append(["verify", "--samples", "5", "--seed", "-1"])
     commands.append(["verify", "--samples", "5", "--tolerance", "-NaN"])
     for path in state_paths:
