@@ -7,15 +7,15 @@ of BLOCK_BYTES of amplitudes, in buffers allocated once per qubit count, and
 evaluated BLOCK_BYTES // 16 at a time; neither size changes a report value.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import MAX_QUBITS
-from .monogamy import (FAILS, HOLDS, STRICT_SLACK_FLOOR, UNDECIDED, PartitionSpec,
-                       ProfileBlock, evaluate_block, profile_batch)
+from .monogamy import (FAILS, HOLDS, UNDECIDED, PartitionSpec, ProfileBlock,
+                       _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
+from .statefile import _strict_json
 from .states import SeededSampler, _haar_into, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
@@ -103,7 +103,7 @@ class CampaignResult:
             "stats": self.stats,
             "all_passed": self.all_passed,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _strict_json(payload)
 
 
 def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
     codes, slack, strict = verdicts.applicable[:, 0], verdicts.slack[:, 0], verdicts.strict[:, 0]
     holds = codes == HOLDS
     # strict bounds (only upper bounds are) must clear a positive floor, not just -tolerance
-    fails = holds & (slack < np.where(strict, STRICT_SLACK_FLOOR, -tolerance))
+    fails = holds & (slack < np.where(strict, _STRICT_SLACK_FLOOR, -tolerance))
     row.total += len(codes)
     row.indeterminate += int(np.count_nonzero(codes == UNDECIDED))
     row.not_applicable += int(np.count_nonzero(codes == FAILS))
@@ -166,7 +166,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         size = max(1, BLOCK_BYTES // 16)
         for start in range(0, config.samples, size):
             block = _profiles(config.seed, n, part, start, min(start + size, config.samples))
-            for (_, row), verdicts in zip(fitting, evaluate_block(block, [k for k, _ in fitting])):
+            for (_, row), verdicts in zip(fitting, _evaluate_block(block, [k for k, _ in fitting])):
                 _tally(row, verdicts, start, config.tolerance)
         rows.extend(row for _, row in fitting)
     stats = {

@@ -16,7 +16,6 @@ stdout or --out; summaries and wall-clock timings go to stderr.
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -27,21 +26,21 @@ import numpy as np
 from .engine import DEFAULT_TOLERANCE, REPORT_FORMAT_VERSION, CampaignConfig, run_campaign
 from .engine import CampaignResult  # noqa: F401  (looked up here by perfbench's tracer)
 from .linalg import partial_trace
-from .measures import _wootters, eof_from_squared_concurrence
+from .measures import _eof, _wootters
 from .monogamy import (
     ALPHA_MIN_EOF,
     BoundId,
     PartitionSpec,
+    _check_split_index,
+    _known_tails,
     alpha_grid,
-    check_split_index,
     family_kinds,
-    known_tails,
     profile,
     profile_batch,
     residual_sweep,
 )
 from .states import generalized_schmidt, w_state
-from .statefile import _as_pure, load_state_file
+from .statefile import _as_pure, _strict_json, load_state_file
 
 _SCHMIDT_FLAT = functools.partial(generalized_schmidt, (math.sqrt(5.0) / 5.0,) * 5)
 
@@ -77,7 +76,7 @@ def _grid_from_args(args, default: tuple | None):
     return alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
 
 
-def cmd_example(args) -> int:
+def _cmd_example(args) -> int:
     label, state, tight, base, default_grid = _EXAMPLE_SETUPS[args.id]
     grid = _grid_from_args(args, default_grid)
     prof = profile(state())
@@ -109,7 +108,7 @@ def _verify_kinds(args, qubit_counts: tuple) -> tuple:
     if any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step)):
         grid = _grid_from_args(args, None)
     bounds = args.bound or _DEFAULT_BOUNDS
-    check_split_index(bounds, args.m)
+    _check_split_index(bounds, args.m)
     kinds = []
     for bound in bounds:
         found = family_kinds(bound, grid, args.m)
@@ -121,7 +120,7 @@ def _verify_kinds(args, qubit_counts: tuple) -> tuple:
     return tuple(k for k in kinds if any(k.fits(n) for n in qubit_counts))
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     qubit_counts = tuple(args.qubits)
     config = CampaignConfig(
         samples=args.samples,
@@ -156,37 +155,37 @@ def _load_partitioned(args) -> tuple:
     return loaded, part, _as_pure(loaded)
 
 
-def cmd_measure(args) -> int:
+def _cmd_measure(args) -> int:
     loaded, part, pure = _load_partitioned(args)
     if pure is not None:
         prof = profile_batch(pure[None], part)
         focus = (prof.c_focus.tolist()[0], prof.e_focus.tolist()[0])
-        c_pair = prof.c_pair[0]
-        tails = known_tails(prof)
+        c_pair, e_pair = prof.c_pair[0], prof.e_pair[0]
+        tails = _known_tails(prof)
         note = ("tail concurrences of mixed reductions have no closed form"
                 if None in tails else "")
     else:
         rho = loaded.density_matrix
         # rho was checked on loading, so its pair reductions go to one stacked solve
         c_pair = _wootters(np.stack([partial_trace(rho, (part.focus, b)) for b in part.rest]))
+        e_pair = _eof(np.square(c_pair))
         focus = (None, None)
         tails = [None] * (loaded.num_qubits - 2)
         note = "mixed input: only pairwise closed forms are available"
-    pairs = (c_pair.tolist(), eof_from_squared_concurrence(np.square(c_pair)).tolist())
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "num_qubits": loaded.num_qubits,
         "partition": {"focus": part.focus, "rest": list(part.rest)},
         "pure": pure is not None,
-        "concurrence": {"focus_rest": focus[0], "pairs": pairs[0], "tails": tails},
-        "eof": {"focus_rest": focus[1], "pairs": pairs[1]},
+        "concurrence": {"focus_rest": focus[0], "pairs": c_pair.tolist(), "tails": tails},
+        "eof": {"focus_rest": focus[1], "pairs": e_pair.tolist()},
         "note": note,
     }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(args.out, _strict_json(payload))
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> int:
     _, part, pure = _load_partitioned(args)
     if pure is None:
         raise ValueError("sweep needs a pure state (amplitudes or a rank-one density matrix)")
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
     _add_grid_flags(ex)
     ex.add_argument("--out", default=None, help="CSV path (default stdout)")
-    ex.set_defaults(func=cmd_example)
+    ex.set_defaults(func=_cmd_example)
 
     ver = subs.add_parser("verify", help="Monte Carlo bound verification")
     ver.add_argument("--samples", type=int, default=1000)
@@ -245,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     ver.add_argument("--out", default=None, help="JSON path (default stdout)")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=_cmd_verify)
 
     mea = subs.add_parser("measure", help="profile a state file")
     mea.add_argument("--state", required=True, help="JSON state file")
     _add_partition_flags(mea)
     mea.add_argument("--out", default=None, help="JSON path (default stdout)")
-    mea.set_defaults(func=cmd_measure)
+    mea.set_defaults(func=_cmd_measure)
 
     sw = subs.add_parser("sweep", help="residual curves for a supplied state")
     sw.add_argument("--state", required=True, help="JSON state file (pure)")
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_partition_flags(sw)
     _add_grid_flags(sw)
     sw.add_argument("--out", default=None, help="CSV path (default stdout)")
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=_cmd_sweep)
 
     # argparse takes only -\d+ and -\d*\.\d+ for negative numbers, and -1e3 or -inf
     # for an unknown option; no option here starts with "-" and a digit (or

@@ -23,10 +23,10 @@ import numpy as np
 
 MAX_QUBITS = 12
 
-HERMITIAN_RTOL = 1e-10
-NORM_ATOL = 1e-10
-TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10
+_HERMITIAN_RTOL = 1e-10
+_NORM_ATOL = 1e-10
+_TRACE_ATOL = 1e-10
+_PSD_ATOL = 1e-10
 
 
 def num_qubits_of(dim: int) -> int:
@@ -48,8 +48,8 @@ def as_state_vector(psi) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise ValueError("state vector has non-finite amplitudes")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {NORM_ATOL}")
+    if abs(norm - 1.0) > _NORM_ATOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 beyond {_NORM_ATOL}")
     return vec
 
 
@@ -59,7 +59,7 @@ def _as_hermitian(matrix) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * np.abs(m).max():
+    if np.abs(m - m.conj().T).max() > _HERMITIAN_RTOL * np.abs(m).max():
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -69,9 +69,9 @@ def as_density_matrix(rho) -> np.ndarray:
     m = _as_hermitian(rho)
     num_qubits_of(m.shape[0])
     tr = np.trace(m).real
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-    if np.linalg.eigvalsh(m)[0] < -PSD_ATOL:
+    if abs(tr - 1.0) > _TRACE_ATOL:
+        raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {_TRACE_ATOL}")
+    if np.linalg.eigvalsh(m)[0] < -_PSD_ATOL:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
     return m
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .linalg import as_density_matrix, reduced_state
 
-DOMAIN_ATOL = 1e-10
+_DOMAIN_ATOL = 1e-10
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_PAULI_Y, _PAULI_Y).real  # real symmetric, squares to identity
@@ -61,9 +61,9 @@ ROOF_CHUNK = 3 * 512  # trials per batch of convex_roof_upper_bound (see above)
 
 
 def _unit_interval(x, what: str) -> np.ndarray:
-    """``x`` as floats clipped to [0, 1]; NaN or values beyond DOMAIN_ATOL raise."""
+    """``x`` as floats clipped to [0, 1]; NaN or values beyond _DOMAIN_ATOL raise."""
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= -DOMAIN_ATOL) & (arr <= 1.0 + DOMAIN_ATOL)):
+    if not np.all((arr >= -_DOMAIN_ATOL) & (arr <= 1.0 + _DOMAIN_ATOL)):
         raise ValueError(f"{what} outside [0, 1] beyond tolerance")
     return np.clip(arr, 0.0, 1.0)
 
@@ -79,14 +79,18 @@ def _binary_entropy(p):
     return h + 0.0  # flush -0.0 at the endpoints
 
 
+def _eof(x) -> np.ndarray:
+    """h((1 + sqrt(1 - x)) / 2) of trusted x >= 0; min(x, 1) repairs rounding such as 1 + 2e-16."""
+    return _binary_entropy((1.0 + np.sqrt(1.0 - np.minimum(x, 1.0))) / 2.0)
+
+
 def eof_from_squared_concurrence(x):
     """Entanglement of formation from squared concurrence.
 
     Computes h((1 + sqrt(1 - x)) / 2), the exact relation for two-qubit
     mixed states and 2 x d pure cuts. Accepts scalars or arrays in [0, 1].
     """
-    arr = _unit_interval(x, "squared concurrence")
-    h = _binary_entropy((1.0 + np.sqrt(1.0 - arr)) / 2.0)
+    h = _eof(_unit_interval(x, "squared concurrence"))
     return float(h) if np.ndim(x) == 0 else h
 
 
@@ -172,7 +176,7 @@ def wootters_concurrence(rho) -> float:
 def eof_two_qubit_mixed(rho) -> float:
     """Entanglement of formation of a two-qubit density matrix, in bits."""
     c = wootters_concurrence(rho)
-    return eof_from_squared_concurrence(c * c)
+    return float(_eof(c * c))
 
 
 def _decomposition_average(pieces: np.ndarray, measure: str) -> np.ndarray:
@@ -184,8 +188,7 @@ def _decomposition_average(pieces: np.ndarray, measure: str) -> np.ndarray:
         return cross.sum(axis=-1)
     # a piece of weight <= 1e-300 gets c2 = 0, so its term is an exact zero
     ratio = np.divide(cross, weights, out=np.zeros_like(weights), where=weights > 1e-300)
-    c2 = np.minimum(1.0, ratio ** 2)
-    return (weights * eof_from_squared_concurrence(c2)).sum(axis=-1)
+    return (weights * _eof(ratio ** 2)).sum(axis=-1)
 
 
 def convex_roof_upper_bound(rho, measure: str = "concurrence",

@@ -62,12 +62,12 @@ import numpy as np
 from .linalg import MAX_QUBITS, _reduce, as_state_vector, num_qubits_of
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
-COMPARISON_ATOL = 1e-12
-DROP_ATOL = 1e-12
-STRICT_PAIR_FLOOR = 1e-6
-STRICT_SLACK_FLOOR = 1e-14
-POWER_ATOL = 1e-12
-MAX_GRID_POINTS = 10_000
+_COMPARISON_ATOL = 1e-12
+_DROP_ATOL = 1e-12
+_STRICT_PAIR_FLOOR = 1e-6
+_STRICT_SLACK_FLOOR = 1e-14
+_POWER_ATOL = 1e-12
+_MAX_GRID_POINTS = 10_000
 
 # three-valued verdicts, ordered so that folding several is their min, and
 # one byte each so that _decide's stack of candidate split indices stays small
@@ -103,12 +103,12 @@ class _Family(NamedTuple):
     def allows(self, alpha):
         """Whether alpha (a float, or elementwise an array) is in powers.
 
-        lo and a fixed power count within POWER_ATOL.
+        lo and a fixed power count within _POWER_ATOL.
         """
         lo, hi = self.powers
         if lo == hi:
-            return abs(alpha - lo) <= POWER_ATOL
-        return (lo - POWER_ATOL <= alpha) & (alpha < hi)
+            return abs(alpha - lo) <= _POWER_ATOL
+        return (lo - _POWER_ATOL <= alpha) & (alpha < hi)
 
     def check_power(self, bound: BoundId, alpha: float) -> None:
         """Reject a non-finite alpha, or one outside powers, naming the bound."""
@@ -186,7 +186,7 @@ def family_kinds(bound, grid=None, m: int | None = None) -> tuple:
     return tuple(BoundKind(bound, a, _split_only(bound, m)) for a in alphas)
 
 
-def check_split_index(bounds, m: int | None) -> None:
+def _check_split_index(bounds, m: int | None) -> None:
     """Reject a split index m when none of the bound families takes one."""
     if m is not None and all(_FAMILIES[BoundId(b)].shape != "split" for b in bounds):
         raise ValueError(f"split index m = {m} is unused: no chosen bound is a split family")
@@ -317,7 +317,7 @@ def _tails(c_pair: np.ndarray) -> np.ndarray:
     return tails
 
 
-def known_tails(block: ProfileBlock) -> list:
+def _known_tails(block: ProfileBlock) -> list:
     """The tails of a one-row block as Python floats, None where one has no closed form."""
     return [None if math.isnan(t) else t for t in _tails(block.c_pair)[0].tolist()]
 
@@ -371,8 +371,8 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     tails = np.ascontiguousarray(_tails(c_pair).T)
     pairs = np.ascontiguousarray(c_pair[:, :-1].T)
     undecided = np.isnan(tails)
-    ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - COMPARISON_ATOL, HOLDS, FAILS))
-    le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + COMPARISON_ATOL, HOLDS, FAILS))
+    ge = np.where(undecided, UNDECIDED, np.where(pairs >= tails - _COMPARISON_ATOL, HOLDS, FAILS))
+    le = np.where(undecided, UNDECIDED, np.where(pairs <= tails + _COMPARISON_ATOL, HOLDS, FAILS))
     # the candidate split indices, largest first: a free split index prefers
     # the largest m whose decided conditions do not fail
     ms = np.array([k - 1] if shape == "ordered" else range(k - 2, 0, -1) if m is None else [m])
@@ -383,7 +383,7 @@ def _decide(c_pair: np.ndarray, shape: str, m: int | None) -> _Decision:
     return _Decision(verdicts[pick, :, rows], folded[pick, rows], ms[pick])
 
 
-class Verdicts(NamedTuple):
+class _Verdicts(NamedTuple):
     """One bound family evaluated on S profiles at A powers.
 
     slack is lhs - rhs for lower bounds and rhs - lhs for upper bounds, and
@@ -401,7 +401,7 @@ class Verdicts(NamedTuple):
 
 
 def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
-                    alphas) -> Verdicts:
+                    alphas) -> _Verdicts:
     """Evaluate one family, with its conditions decided, on a block at each power.
 
     A point whose lhs or rhs is not finite (a power overflowed) is not
@@ -419,9 +419,9 @@ def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
     # both sides are >= 0, so the difference is finite exactly when both sides are
     ok = np.isfinite(slack)
     slack = np.where(ok, slack, np.nan)
-    strict = (ok & (block.c_pair.min(axis=1) > STRICT_PAIR_FLOOR)[:, None] if upper
+    strict = (ok & (block.c_pair.min(axis=1) > _STRICT_PAIR_FLOOR)[:, None] if upper
               else np.zeros_like(ok))
-    return Verdicts(lhs, rhs, slack, np.where(ok, decision.applicable[:, None], FAILS),
+    return _Verdicts(lhs, rhs, slack, np.where(ok, decision.applicable[:, None], FAILS),
                     strict, dropped, decision)
 
 
@@ -452,9 +452,9 @@ def _lower_sides(block: ProfileBlock, family: _Family, decision: _Decision, alph
 
 def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     c_focus, c_pair = block.c_focus, block.c_pair
-    dropped = c_pair <= DROP_ATOL
+    dropped = c_pair <= _DROP_ATOL
     retained = c_pair.shape[1] - dropped.sum(axis=1)
-    valid = ((retained > 0) & (c_focus > DROP_ATOL))[:, None]
+    valid = ((retained > 0) & (c_focus > _DROP_ATOL))[:, None]
     # a negative power of a zero concurrence is undefined: raise 1.0 in its
     # place, then take the dropped pairs' terms as zeros
     powered = _powers(np.where(valid[:, 0], c_focus, 1.0), np.where(dropped, 1.0, c_pair), alphas)
@@ -466,7 +466,7 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     return lhs, rhs, dropped
 
 
-def evaluate_block(block: ProfileBlock, kinds):
+def _evaluate_block(block: ProfileBlock, kinds):
     """Yield the verdicts of each kind at its one power on a block of profiles.
 
     Every kind must fit the block's party count. Kinds of one shape and
@@ -499,7 +499,7 @@ def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
                            dropped_pairs=tuple(np.flatnonzero(v.dropped[0]).tolist()),
                            strict=bool(v.strict[0, 0]), note=note)
     m = int(v.decision.m_used[0])
-    rows = zip(block.c_pair[0].tolist(), known_tails(block), v.decision.verdicts[0])
+    rows = zip(block.c_pair[0].tolist(), _known_tails(block), v.decision.verdicts[0])
     checks = tuple(ConditionCheck(i, pair, tail, ">=" if i <= m else "<=", _VERDICT[code])
                    for i, (pair, tail, code) in enumerate(rows, 1))
     return BoundReport(kind, "lower", lhs, rhs, slack, applicable, conditions=checks,
@@ -544,8 +544,8 @@ def alpha_grid(lo: float, hi: float, step: float) -> tuple:
     if hi < lo:
         raise ValueError("alpha range is empty")
     span = (hi - lo) / step
-    if not span < MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
-        raise ValueError(f"alpha grid would exceed {MAX_GRID_POINTS} points")
+    if not span < _MAX_GRID_POINTS:  # also catches hi - lo overflowing to inf
+        raise ValueError(f"alpha grid would exceed {_MAX_GRID_POINTS} points")
     count = int(math.floor(span + 1e-9)) + 1
     return tuple(lo + k * step for k in range(count))
 
@@ -562,7 +562,7 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     grid = tuple(float(a) for a in alphas)
     if not grid:
         raise ValueError("empty alpha grid")
-    check_split_index((tightened, baseline), m)
+    _check_split_index((tightened, baseline), m)
     # the kinds at grid[0] carry the m and fit checks; later points need the power rule
     kinds = [BoundKind(b, grid[0], _split_only(BoundId(b), m)) for b in (tightened, baseline)]
     families = [_family_on(kind, block) for kind in kinds]

@@ -81,8 +81,12 @@ def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
         key: [[float(z.real), float(z.imag)] for z in state.reshape(-1)],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_strict_json(payload))
+
+
+def _strict_json(payload) -> str:
+    """The one JSON layout of every file entmono writes: strict, indented, sorted, newline-ended."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _as_pure(loaded: LoadedState) -> np.ndarray | None:

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, NORM_ATOL, reduced_state
+from .linalg import MAX_QUBITS, _NORM_ATOL, reduced_state
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
     if np.any(lam < -1e-12):
         raise ValueError("Schmidt coefficients must be nonnegative")
     lam = np.clip(lam, 0.0, None)
-    if abs((lam ** 2).sum() - 1.0) > NORM_ATOL:
+    if abs((lam ** 2).sum() - 1.0) > _NORM_ATOL:
         raise ValueError("Schmidt coefficients must have unit sum of squares")
     vec = np.zeros(8, dtype=complex)
     vec[0b000] = lam[0]

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmono
-from entmono import engine, harness, monogamy, statefile
+from entmono import engine, harness, measures, monogamy, statefile
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.harness import alpha_grid, main
 from entmono.statefile import load_state_file, save_state_file
 from entmono.linalg import as_state_vector, partial_trace
-from entmono.measures import wootters_concurrence
+from entmono.measures import eof_from_squared_concurrence, wootters_concurrence
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
 from entmono.states import (SeededSampler, _haar_into, basis_state, ghz_state, haar_random_pure,
                             random_mixed, w_state)
@@ -172,6 +173,53 @@ def test_run_campaign_json_is_deterministic():
     assert data["config"]["seed"] == 5
     assert data["rows"][0]["bound"] == "ckw"
     assert text.endswith("\n")
+
+
+def _block_verdicts(codes, slack, strict=False):
+    """Verdicts of one kind at one power on a block, as _tally reads them: (S, 1) columns."""
+    codes = np.array(codes, np.int8)
+    return SimpleNamespace(applicable=codes[:, None], slack=np.array(slack)[:, None],
+                           strict=np.broadcast_to(strict, codes.shape)[:, None])
+
+
+def test_tally_counts_failures_and_the_worst_sample():
+    h, u, f = monogamy.HOLDS, monogamy.UNDECIDED, monogamy.FAILS
+    row = engine.CampaignRow("ckw", 2.0, None, 3)
+    # an undecided or not applicable sample never fails, however negative its slack
+    engine._tally(row, _block_verdicts([h, h, u, h], [-3.5e-10, 0.25, -5.0, -3.5e-10]), 0, 1e-10)
+    engine._tally(row, _block_verdicts([f, h, h, h], [-1.0, -2.25e-10, -3.5e-10, 1e-12]), 4, 1e-10)
+    counts = (row.total, row.applicable, row.passed, row.failed, row.indeterminate,
+              row.not_applicable)
+    assert counts == (8, 6, 2, 4, 1, 1)
+    assert row.failures == [{"sample_index": 0, "slack": -3.5e-10},
+                            {"sample_index": 3, "slack": -3.5e-10},
+                            {"sample_index": 5, "slack": -2.25e-10},
+                            {"sample_index": 6, "slack": -3.5e-10}]
+    # samples 0, 3 and 6 share the minimum: the first in a block, the earlier block
+    assert (row.worst_slack, row.worst_sample) == (-3.5e-10, 0)
+
+    config = CampaignConfig(8, (3,), (BoundKind(BoundId.CKW, 2.0),), 0)
+    result = engine.CampaignResult(config, (row,), row.failed == 0, {})
+
+    def reject(token):
+        raise ValueError(token)
+
+    data = json.loads(result.to_json(), parse_constant=reject)
+    assert data["all_passed"] is False
+    assert data["rows"][0]["failures"] == row.failures
+
+
+def test_tally_holds_strict_bounds_to_a_positive_floor():
+    floor = monogamy._STRICT_SLACK_FLOOR
+    # slacks between -tolerance and the floor: a failure only where the sample is strict
+    slack = [floor / 2, floor / 2, -5e-11, -5e-11, 2 * floor]
+    row = engine.CampaignRow("upper-mean", -1.0, None, 3)
+    engine._tally(row, _block_verdicts([monogamy.HOLDS] * 5, slack,
+                                       [True, False, True, False, True]), 4, 1e-10)
+    assert (row.passed, row.failed) == (3, 2)
+    assert row.failures == [{"sample_index": 4, "slack": floor / 2},
+                            {"sample_index": 6, "slack": -5e-11}]
+    assert (row.worst_slack, row.worst_sample) == (-5e-11, 6)
 
 
 @pytest.mark.parametrize("budget", [
@@ -500,6 +548,34 @@ def test_cli_measure_and_sweep_check_a_loaded_state_once(tmp_path, monkeypatch, 
     assert main(["sweep", "--state", str(bell), "--bound", "ckw", "--baseline", "ckw",
                  "--alpha-min", "2", "--alpha-max", "2", "--alpha-step", "1"]) == 2
     assert capsys.readouterr().err.count("at least three parties") == 2
+
+
+def test_eof_domain_is_checked_once_per_profile_block(tmp_path, monkeypatch):
+    checks, blocks = [], []
+    checked, profiled = measures._unit_interval, monogamy.profile_batch
+
+    def counting_check(x, what):
+        checks.append(sys._getframe(2).f_code.co_name)  # the caller of the public EoF
+        return checked(x, what)
+
+    def counting_block(*args):
+        blocks.append(len(args[0]))
+        return profiled(*args)
+
+    monkeypatch.setattr(measures, "_unit_interval", counting_check)
+    monkeypatch.setattr(engine, "profile_batch", counting_block)
+    monkeypatch.setattr(harness, "profile_batch", counting_block)
+    # the verify-wide-light benchmark operation, then a pure-state measure
+    assert main(["verify", "--samples", "20", "--qubits", "4,8,12", "--bound", "ckw",
+                 "--bound", "tight-split", "--out", str(tmp_path / "r.json")]) == 0
+    state = tmp_path / "w4.json"
+    save_state_file(str(state), amplitudes=w_state(4))
+    assert main(["measure", "--state", str(state), "--out", str(tmp_path / "m.json")]) == 0
+    # profile_batch checks each block once; measure reads its block's pair EoF
+    assert sum(blocks) == 61 and checks == ["profile_batch"] * len(blocks)
+    # the public entry point still checks its input
+    eof_from_squared_concurrence(0.5)
+    assert checks[-1] == "test_eof_domain_is_checked_once_per_profile_block"
 
 
 def test_cli_verify_round_trip(tmp_path):
