@@ -16,7 +16,7 @@ from .linalg import MAX_QUBITS
 from .monogamy import (FAILS, HOLDS, UNDECIDED, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
-from .states import SeededSampler, _haar_into, haar_random_pure
+from .states import SeededSampler, _haar_into, _whole, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
 DEFAULT_TOLERANCE = 1e-10
@@ -56,8 +56,7 @@ class CampaignConfig:
             raise ValueError("tolerance must be positive and finite")
         for kind in self.kinds:
             if not any(kind.fits(n) for n in self.qubit_counts):
-                pinned = "" if kind.m is None else f" with m = {kind.m}"
-                raise ValueError(f"{kind.id.value}{pinned} fits none of the requested qubit counts")
+                raise ValueError(f"{kind} fits none of the requested qubit counts")
 
 
 @dataclass
@@ -109,6 +108,8 @@ class CampaignResult:
 def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     """The exact state a campaign drew for one sample; the replay hook."""
     _check_seed(seed)
+    if _whole("index", index) < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
     return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
 
 

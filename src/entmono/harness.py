@@ -31,10 +31,9 @@ from .monogamy import (
     ALPHA_MIN_EOF,
     BoundId,
     PartitionSpec,
-    _check_split_index,
     _known_tails,
     alpha_grid,
-    family_kinds,
+    campaign_kinds,
     profile,
     profile_batch,
     residual_sweep,
@@ -95,37 +94,14 @@ def _cmd_example(args) -> int:
     return 0
 
 
-_DEFAULT_BOUNDS = (
-    BoundId.CKW, BoundId.ALPHA_POWER, BoundId.TIGHT_TRIPARTITE,
-    BoundId.TIGHT_ORDERED, BoundId.UPPER_MEAN,
-    BoundId.EOF_ALPHA_POWER, BoundId.EOF_TIGHT_ORDERED,
-)
-
-
-def _verify_kinds(args, qubit_counts: tuple) -> tuple:
-    """Explicit picks must each be usable; the default battery shrinks quietly."""
-    grid = None
-    if any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step)):
-        grid = _grid_from_args(args, None)
-    bounds = args.bound or _DEFAULT_BOUNDS
-    _check_split_index(bounds, args.m)
-    kinds = []
-    for bound in bounds:
-        found = family_kinds(bound, grid, args.m)
-        if args.bound and not found:
-            raise ValueError(f"no grid point is a valid power for {BoundId(bound).value}")
-        kinds.extend(found)
-    if args.bound:
-        return tuple(kinds)  # CampaignConfig rejects a pick that fits no qubit count
-    return tuple(k for k in kinds if any(k.fits(n) for n in qubit_counts))
-
-
 def _cmd_verify(args) -> int:
     qubit_counts = tuple(args.qubits)
+    gridded = any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step))
     config = CampaignConfig(
         samples=args.samples,
         qubit_counts=qubit_counts,
-        kinds=_verify_kinds(args, qubit_counts),
+        kinds=campaign_kinds(args.bound, _grid_from_args(args, None) if gridded else None,
+                             args.m, qubit_counts),
         seed=args.seed,
         tolerance=args.tolerance,
     )

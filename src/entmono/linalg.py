@@ -101,6 +101,8 @@ def partial_trace(rho, keep) -> np.ndarray:
     n = num_qubits_of(m.shape[0])
     if m.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} qubits")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     kept = _kept_positions(keep, n)
     traced = [q for q in range(n) if q not in kept]
     tensor = m.reshape([2] * (2 * n))

@@ -99,6 +99,7 @@ class _Family(NamedTuple):
     powers: tuple     # (lo, hi): lo <= alpha < hi; lo == hi is a fixed power
     parties: range    # the party counts the bound is stated for
     defaults: tuple   # the powers a campaign checks when given no grid
+    battery: bool     # whether a campaign given no bounds checks the family
 
     def allows(self, alpha):
         """Whether alpha (a float, or elementwise an array) is in powers.
@@ -130,16 +131,16 @@ _E_DEFAULTS = (ALPHA_MIN_EOF, 2.0, 3.0)
 _NEG_DEFAULTS = (-0.5, -1.0, -2.0)
 
 _FAMILIES = {
-    BoundId.CKW: _Family("C", "unit", (2.0, 2.0), _N3_UP, (2.0,)),
-    BoundId.ALPHA_POWER: _Family("C", "unit", _C_POWERS, _N3_UP, _C_DEFAULTS),
-    BoundId.TIGHT_TRIPARTITE: _Family("C", "ordered", _C_POWERS, range(3, 4), _C_DEFAULTS),
-    BoundId.TIGHT_ORDERED: _Family("C", "ordered", _C_POWERS, _N3_UP, _C_DEFAULTS),
-    BoundId.TIGHT_SPLIT: _Family("C", "split", _C_POWERS, _N4_UP, _C_DEFAULTS),
-    BoundId.UPPER_MEAN: _Family("C", "mean", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS),
-    BoundId.UPPER_SUM: _Family("C", "sum", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS),
-    BoundId.EOF_ALPHA_POWER: _Family("E", "unit", _E_POWERS, _N3_UP, _E_DEFAULTS),
-    BoundId.EOF_TIGHT_ORDERED: _Family("E", "ordered", _E_POWERS, _N3_UP, _E_DEFAULTS),
-    BoundId.EOF_TIGHT_SPLIT: _Family("E", "split", _E_POWERS, _N4_UP, _E_DEFAULTS),
+    BoundId.CKW: _Family("C", "unit", (2.0, 2.0), _N3_UP, (2.0,), True),
+    BoundId.ALPHA_POWER: _Family("C", "unit", _C_POWERS, _N3_UP, _C_DEFAULTS, True),
+    BoundId.TIGHT_TRIPARTITE: _Family("C", "ordered", _C_POWERS, range(3, 4), _C_DEFAULTS, True),
+    BoundId.TIGHT_ORDERED: _Family("C", "ordered", _C_POWERS, _N3_UP, _C_DEFAULTS, True),
+    BoundId.TIGHT_SPLIT: _Family("C", "split", _C_POWERS, _N4_UP, _C_DEFAULTS, False),
+    BoundId.UPPER_MEAN: _Family("C", "mean", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS, True),
+    BoundId.UPPER_SUM: _Family("C", "sum", _NEG_POWERS, _N3_UP, _NEG_DEFAULTS, False),
+    BoundId.EOF_ALPHA_POWER: _Family("E", "unit", _E_POWERS, _N3_UP, _E_DEFAULTS, True),
+    BoundId.EOF_TIGHT_ORDERED: _Family("E", "ordered", _E_POWERS, _N3_UP, _E_DEFAULTS, True),
+    BoundId.EOF_TIGHT_SPLIT: _Family("E", "split", _E_POWERS, _N4_UP, _E_DEFAULTS, False),
 }
 
 
@@ -163,37 +164,46 @@ class BoundKind:
                 raise ValueError("split index m must be >= 1")
             object.__setattr__(self, "m", int(self.m))
 
+    def __str__(self) -> str:
+        return self.id.value if self.m is None else f"{self.id.value} with m = {self.m}"
+
     def fits(self, num_parties: int) -> bool:
         """Whether the bound is stated for num_parties parties (and its pinned m)."""
         return (num_parties in _FAMILIES[self.id].parties
                 and (self.m is None or self.m <= num_parties - 3))
 
 
-def family_kinds(bound, grid=None, m: int | None = None) -> tuple:
-    """The kinds one bound family contributes to a campaign.
+def campaign_kinds(bounds, grid, m: int | None, qubit_counts) -> tuple:
+    """The kinds a campaign checks: each chosen family at its powers, m on split families.
 
-    A fixed-power family gives its one power whatever the grid. Otherwise
-    the family gives the grid points it allows (possibly none), or its
-    default powers when there is no grid. m reaches split families only.
+    A fixed-power family keeps its one power whatever the grid; any other
+    family gets the grid points it allows, or its default powers when grid
+    is None. An explicit pick must get a power; CampaignConfig rejects one
+    that fits no qubit count. No bounds picks the battery, the families
+    _FAMILIES marks so, and quietly drops the kinds that get no power or
+    fit none of qubit_counts.
     """
-    bound = BoundId(bound)
-    family = _FAMILIES[bound]
-    lo, hi = family.powers
-    if grid is None or lo == hi:  # a fixed power ignores any grid
-        alphas = family.defaults
-    else:
-        alphas = tuple(a for a in grid if family.allows(a))
-    return tuple(BoundKind(bound, a, _split_only(bound, m)) for a in alphas)
+    picked = ([BoundId(b) for b in bounds] if bounds
+              else [b for b, family in _FAMILIES.items() if family.battery])
+    _check_split_index(picked, m)
+    kinds = []
+    for bound in picked:
+        family = _FAMILIES[bound]
+        lo, hi = family.powers
+        alphas = (family.defaults if grid is None or lo == hi
+                  else [a for a in grid if family.allows(a)])
+        if bounds and not alphas:
+            raise ValueError(f"no grid point is a valid power for {bound.value}")
+        kinds += [BoundKind(bound, a, m if family.shape == "split" else None) for a in alphas]
+    if bounds:
+        return tuple(kinds)
+    return tuple(k for k in kinds if any(k.fits(n) for n in qubit_counts))
 
 
 def _check_split_index(bounds, m: int | None) -> None:
     """Reject a split index m when none of the bound families takes one."""
     if m is not None and all(_FAMILIES[BoundId(b)].shape != "split" for b in bounds):
         raise ValueError(f"split index m = {m} is unused: no chosen bound is a split family")
-
-
-def _split_only(bound: BoundId, m: int | None) -> int | None:
-    return m if _FAMILIES[bound].shape == "split" else None
 
 
 @dataclass(frozen=True)
@@ -328,8 +338,7 @@ def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
         raise ValueError(f"expected a one-row profile block, got {len(block.c_pair)} rows")
     num_parties = block.c_pair.shape[1] + 1
     if not kind.fits(num_parties):
-        pinned = "" if kind.m is None else f" with m = {kind.m}"
-        raise ValueError(f"{kind.id.value}{pinned} does not apply to {num_parties} parties")
+        raise ValueError(f"{kind} does not apply to {num_parties} parties")
     return _FAMILIES[kind.id]
 
 
@@ -564,7 +573,8 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
         raise ValueError("empty alpha grid")
     _check_split_index((tightened, baseline), m)
     # the kinds at grid[0] carry the m and fit checks; later points need the power rule
-    kinds = [BoundKind(b, grid[0], _split_only(BoundId(b), m)) for b in (tightened, baseline)]
+    kinds = [BoundKind(b, grid[0], m if _FAMILIES[BoundId(b)].shape == "split" else None)
+             for b in (tightened, baseline)]
     families = [_family_on(kind, block) for kind in kinds]
     points = np.array(grid)
     bad = ~(np.isfinite(points) & families[0].allows(points) & families[1].allows(points))

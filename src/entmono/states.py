@@ -27,8 +27,15 @@ class SeededSampler:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def _whole(name: str, value) -> int:
+    """value as an int; a fraction, NaN or infinity is rejected, naming the argument."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _check_qubits(num_qubits: int, minimum: int = 2) -> int:
-    n = int(num_qubits)
+    n = _whole("qubit count", num_qubits)
     if not minimum <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be {minimum}..{MAX_QUBITS}, got {n}")
     return n
@@ -42,7 +49,7 @@ def basis_state(num_qubits: int, bits) -> np.ndarray:
             raise ValueError(f"bit string must be {n} characters of 0/1")
         index = int(bits, 2)
     else:
-        index = int(bits)
+        index = _whole("basis index", bits)
     if not 0 <= index < 2 ** n:
         raise ValueError(f"basis index {index} out of range")
     vec = np.zeros(2 ** n, dtype=complex)
@@ -83,6 +90,8 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (5,):
         raise ValueError("five Schmidt coefficients are required")
+    if not (np.isfinite(lam).all() and np.isfinite(phi)):
+        raise ValueError(f"Schmidt coefficients or phi are non-finite, got {lam.tolist()}, {phi}")
     if np.any(lam < -1e-12):
         raise ValueError("Schmidt coefficients must be nonnegative")
     lam = np.clip(lam, 0.0, None)
@@ -126,7 +135,7 @@ def random_mixed(num_qubits: int, ancilla_qubits: int, sampler: SeededSampler) -
     Haar-random pure state; zero ancillas give a pure-state projector.
     """
     n = _check_qubits(num_qubits, minimum=1)
-    extra = int(ancilla_qubits)
+    extra = _whole("ancilla count", ancilla_qubits)
     if extra < 0:
         raise ValueError("ancilla count must be nonnegative")
     total = _check_qubits(n + extra)

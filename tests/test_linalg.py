@@ -142,6 +142,14 @@ def test_partial_trace_rejects_bad_keeps():
         partial_trace(rho, (2,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partial_trace_rejects_non_finite_entries(bad):
+    rho = np.eye(8, dtype=complex) / 8
+    rho[3, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        partial_trace(rho, (0,))
+
+
 def test_reduced_state_matches_partial_trace():
     psi = haar_random_pure(4, SeededSampler(3))
     rho = np.outer(psi, psi.conj())

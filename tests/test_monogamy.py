@@ -30,8 +30,8 @@ from entmono.monogamy import (
     _coefficient_table,
     _decide,
     _evaluate_batch,
+    campaign_kinds,
     evaluate,
-    family_kinds,
     profile,
     profile_batch,
     residual_sweep,
@@ -491,8 +491,8 @@ def test_fits_is_exactly_where_evaluate_applies():
     # the family table is the one source: fits and evaluate cannot disagree
     profiles = {n: profile(w_state(n)) for n in range(3, 7)}
     for bound in BoundId:
-        for m in (None, 1, 2):  # family_kinds hands m to split families only
-            kind = family_kinds(bound, m=m)[0]
+        for m in (None, 1, 2):  # tight-split keeps m in use; bound gets it only if split
+            kind = campaign_kinds((bound, BoundId.TIGHT_SPLIT), None, m, tuple(profiles))[0]
             for n, prof in profiles.items():
                 try:
                     evaluate(prof, kind)
@@ -503,6 +503,57 @@ def test_fits_is_exactly_where_evaluate_applies():
     assert [n for n in profiles if BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0).fits(n)] == [3]
     assert [n for n in profiles if BoundKind(BoundId.EOF_TIGHT_SPLIT, 2.0).fits(n)] == [4, 5, 6]
     assert [n for n in profiles if BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2).fits(n)] == [5, 6]
+
+
+_C, _E, _NEG = (2.0, 2.5, 3.0), (ALPHA_MIN_EOF, 2.0, 3.0), (-0.5, -1.0, -2.0)
+_BATTERY = [("ckw", (2.0,)), ("alpha-power", _C), ("tight-tripartite", _C),
+            ("tight-ordered", _C), ("upper-mean", _NEG), ("eof-alpha-power", _E),
+            ("eof-tight-ordered", _E)]
+
+
+def _kinds(table, m=None):
+    return [(bound, alpha, m) for bound, alphas in table for alpha in alphas]
+
+
+@pytest.mark.parametrize("bounds, grid, m, qubits, want", [
+    # no bounds: the battery's seven families, in report order, at their default powers
+    ((), None, None, (3,), _kinds(_BATTERY)),
+    (None, None, None, (3, 4), _kinds(_BATTERY)),
+    # a grid gives the battery the points each family allows; ckw keeps its fixed power
+    ((), (2.0, 4.0), None, (3,),
+     _kinds([("ckw", (2.0,)), ("alpha-power", (2.0, 4.0)), ("tight-tripartite", (2.0, 4.0)),
+             ("tight-ordered", (2.0, 4.0)), ("eof-alpha-power", (2.0, 4.0)),
+             ("eof-tight-ordered", (2.0, 4.0))])),
+    ((), (-1.0, -3.0), None, (3,), _kinds([("ckw", (2.0,)), ("upper-mean", (-1.0, -3.0))])),
+    ((), (1.5,), None, (3,),
+     _kinds([("ckw", (2.0,)), ("eof-alpha-power", (1.5,)), ("eof-tight-ordered", (1.5,))])),
+    # the battery drops a kind that fits no qubit count; an explicit pick keeps it
+    ((), None, None, (4, 5), _kinds(_BATTERY[:2] + _BATTERY[3:])),
+    (("tight-tripartite",), None, None, (4,), _kinds([("tight-tripartite", _C)])),
+    # m reaches the split families only
+    (("tight-split", BoundId.CKW), (2.0, 2.5), 2, (5,),
+     _kinds([("tight-split", (2.0, 2.5))], 2) + _kinds([("ckw", (2.0,))])),
+    (("eof-tight-split",), None, 1, (4,), _kinds([("eof-tight-split", _E)], 1)),
+    (("tight-split",), None, None, (4,), _kinds([("tight-split", _C)])),
+])
+def test_campaign_kinds(bounds, grid, m, qubits, want):
+    got = campaign_kinds(bounds, grid, m, qubits)
+    assert [(k.id.value, k.alpha, k.m) for k in got] == want
+
+
+@pytest.mark.parametrize("bounds, grid, m, message", [
+    (("ckw",), None, 1, "split index m = 1 is unused"),
+    ((), None, 1, "split index m = 1 is unused"),  # the battery has no split family
+    (("alpha-power",), (-1.0,), None, "no grid point is a valid power for alpha-power"),
+    (("upper-mean", "alpha-power"), (-1.0,), None,
+     "no grid point is a valid power for alpha-power"),
+    (("upper-mean",), (2.0,), None, "no grid point is a valid power for upper-mean"),
+    # the unused m is reported before a pick that gets no power
+    (("alpha-power",), (-1.0,), 3, "split index m = 3 is unused"),
+])
+def test_campaign_kinds_rejects_an_unusable_pick(bounds, grid, m, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        campaign_kinds(bounds, grid, m, (3,))
 
 
 def test_tight_tripartite_is_tight_ordered_at_three_parties():

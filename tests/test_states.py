@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from entmono.engine import campaign_state
 from entmono.linalg import _as_hermitian, reduced_state
 from entmono.measures import concurrence_pure, wootters_concurrence
 from entmono.states import (
@@ -57,6 +59,29 @@ def test_generalized_schmidt_validation():
         generalized_schmidt((1.0, 0.2, 0.0, 0.0, 0.0))  # not normalized
     with pytest.raises(ValueError):
         generalized_schmidt((-0.5, 0.5, 0.5, 0.5, 0.0))
+    for lambdas, phi in (((math.nan,) * 5, 0.0), ((0.5, 0.5, 0.5, math.inf, 0.0), 0.0),
+                         ((0.5,) * 4 + (0.0,), math.inf), ((0.5,) * 4 + (0.0,), -math.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            generalized_schmidt(lambdas, phi)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: campaign_state(0, 3, 1.5), "index must be an integer, got 1.5"),
+    (lambda: campaign_state(0, 3, math.nan), "index must be an integer, got nan"),
+    (lambda: campaign_state(0, 3, -1), "index must be >= 0, got -1"),
+    (lambda: campaign_state(0, 3.5, 0), "qubit count must be an integer, got 3.5"),
+    (lambda: basis_state(3, 2.9), "basis index must be an integer, got 2.9"),
+    (lambda: w_state(math.inf), "qubit count must be an integer, got inf"),
+    (lambda: random_mixed(2, 0.5, SeededSampler(0)), "ancilla count must be an integer, got 0.5"),
+])
+def test_indices_and_counts_are_whole_numbers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_integral_values_of_other_types_are_the_same_index():
+    np.testing.assert_array_equal(campaign_state(0, np.int64(3), 2.0), campaign_state(0, 3, 2))
+    np.testing.assert_array_equal(basis_state(3.0, np.int32(2)), basis_state(3, 2))
 
 
 def test_generalized_schmidt_concurrence_identities():

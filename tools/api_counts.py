@@ -12,6 +12,9 @@ Four counts come from an ``ast`` walk over ``SRC/entmono``:
   public      module-level definitions (functions, classes, assignments)
               whose name has no leading underscore
 
+It also prints ``lines``: the line count of SRC/entmono, in total and
+per module, as ``wc -l`` counts them.
+
 A public name is needed when one of these holds: ``entmono.__all__``
 exports it; a file under tests/, demos/, tools/ or perfbench/ names it
 (as an identifier, or in a string: a ``monkeypatch.setattr`` attribute, or
@@ -64,8 +67,11 @@ def main(src: str = "src") -> int:
     constants = {"public": 0, "private": 0}
     public = []  # (module, name)
     exported = set()
+    lines = {}
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        lines[path.stem] = text.count("\n")
+        tree = ast.parse(text)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add_argument"):
@@ -97,6 +103,8 @@ def main(src: str = "src") -> int:
     print(f"module constants {sum(constants.values())} "
           f"(public {constants['public']}, private {constants['private']})")
     print(f"public names {len(public)}")
+    print(f"lines {sum(lines.values())} ("
+          + ", ".join(f"{module} {count}" for module, count in lines.items()) + ")")
     print(f"public names nothing outside their module needs: {len(unneeded)}")
     for module, name in unneeded:
         print(f"  {module}.{name}")
