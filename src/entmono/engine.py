@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS
+from .linalg import MAX_QUBITS, _whole
 from .monogamy import (FAILS, HOLDS, UNDECIDED, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
-from .states import SeededSampler, _haar_into, _whole, haar_random_pure
+from .states import SeededSampler, _haar_into, haar_random_pure
 
 REPORT_FORMAT_VERSION = "1"
 DEFAULT_TOLERANCE = 1e-10
@@ -24,11 +24,6 @@ DEFAULT_TOLERANCE = 1e-10
 # block, four 12-qubit states; with the buffers reused, 2^17 measured 5 %
 # slower on verify-wide-light, and 2^20 no faster at 2.4 MB more peak RSS
 BLOCK_BYTES = 1 << 18
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +34,18 @@ class CampaignConfig:
     seed: int
     tolerance: float = DEFAULT_TOLERANCE
 
+    def __post_init__(self):
+        # whole numbers from here on, so samples=2.0 is samples=2 down to the report
+        object.__setattr__(self, "samples", _whole("samples", self.samples))
+        object.__setattr__(self, "qubit_counts",
+                           tuple(_whole("qubit count", n) for n in self.qubit_counts))
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
+
     def validate(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        _check_seed(self.seed)
+        _whole("samples", self.samples, 1)
+        _whole("seed", self.seed, 0)
         for n in self.qubit_counts:
-            if not 3 <= n <= MAX_QUBITS:
-                raise ValueError(f"qubit counts must be 3..{MAX_QUBITS}")
+            _whole("qubit count", n, 3, MAX_QUBITS)
         if len(set(self.qubit_counts)) < len(self.qubit_counts):
             raise ValueError("qubit counts must not repeat")
         if not self.kinds:
@@ -107,10 +107,9 @@ class CampaignResult:
 
 def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     """The exact state a campaign drew for one sample; the replay hook."""
-    _check_seed(seed)
-    if _whole("index", index) < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    return haar_random_pure(qubits, SeededSampler(seed).child(qubits, index))
+    seed, index = _whole("seed", seed, 0), _whole("index", index, 0)
+    n = _whole("qubit count", qubits, 2, MAX_QUBITS)
+    return haar_random_pure(n, SeededSampler(seed, (n, index)))
 
 
 def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:

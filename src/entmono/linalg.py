@@ -29,6 +29,24 @@ _TRACE_ATOL = 1e-10
 _PSD_ATOL = 1e-10
 
 
+def _whole(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int in lo..hi, or >= lo with no hi; the one integer rule of the API.
+
+    Python and numpy integers pass at any size and an integral float converts;
+    a bool, non-number, NaN, infinity, fraction or out-of-range value is a
+    ValueError naming the argument.
+    """
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    n = int(value)
+    if hi is not None and not lo <= n <= hi:
+        raise ValueError(f"{name} must be {lo}..{hi}, got {n}")
+    if lo is not None and n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    return n
+
+
 def num_qubits_of(dim: int) -> int:
     """Qubit count for Hilbert-space dimension ``dim``, which must be 2**n."""
     n = int(dim).bit_length() - 1
@@ -78,12 +96,9 @@ def as_density_matrix(rho) -> np.ndarray:
 
 def _kept_positions(keep, num_qubits: int) -> tuple:
     """Sorted keep set, checked to be a nonempty proper subset of the register."""
-    kept = tuple(sorted(int(p) for p in keep))
+    kept = tuple(sorted(_whole("qubit position", p, 0, num_qubits - 1) for p in keep))
     if len(set(kept)) != len(kept):
         raise ValueError("qubit positions must be distinct")
-    for p in kept:
-        if not 0 <= p < num_qubits:
-            raise ValueError(f"qubit position {p} out of range for {num_qubits} qubits")
     if not kept:
         raise ValueError("keep set must not be empty")
     if len(kept) == num_qubits:

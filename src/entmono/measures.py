@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_density_matrix, reduced_state
+from .linalg import _whole, as_density_matrix, reduced_state
 
 _DOMAIN_ATOL = 1e-10
 
@@ -204,8 +204,7 @@ def convex_roof_upper_bound(rho, measure: str = "concurrence",
     """
     if measure not in ("concurrence", "eof"):
         raise ValueError(f"unknown measure {measure!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, seed = _whole("trials", trials, 1), _whole("seed", seed, 0)
     m = _two_qubit_density(rho, "convex_roof_upper_bound")
     lam, vec = np.linalg.eigh(m)
     lam = np.clip(lam, 0.0, None)

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _reduce, as_state_vector, num_qubits_of
+from .linalg import MAX_QUBITS, _reduce, _whole, as_state_vector, num_qubits_of
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 _COMPARISON_ATOL = 1e-12
@@ -160,9 +160,7 @@ class BoundKind:
         if self.m is not None:
             if family.shape != "split":
                 raise ValueError(f"{self.id.value} does not take a split index m")
-            if int(self.m) < 1:
-                raise ValueError("split index m must be >= 1")
-            object.__setattr__(self, "m", int(self.m))
+            object.__setattr__(self, "m", _whole("split index m", self.m, 1))
 
     def __str__(self) -> str:
         return self.id.value if self.m is None else f"{self.id.value} with m = {self.m}"
@@ -214,8 +212,8 @@ class PartitionSpec:
     rest: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "focus", int(self.focus))
-        object.__setattr__(self, "rest", tuple(int(q) for q in self.rest))
+        object.__setattr__(self, "focus", _whole("focus", self.focus))
+        object.__setattr__(self, "rest", tuple(_whole("rest", q) for q in self.rest))
 
     @classmethod
     def default(cls, num_qubits: int) -> "PartitionSpec":

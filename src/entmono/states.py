@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _NORM_ATOL, reduced_state
+from .linalg import MAX_QUBITS, _NORM_ATOL, _whole, reduced_state
 
 
 @dataclass(frozen=True)
@@ -20,38 +20,23 @@ class SeededSampler:
     spawn_key: tuple = ()
 
     def child(self, *key: int) -> "SeededSampler":
-        return replace(self, spawn_key=self.spawn_key + tuple(int(k) for k in key))
+        keys = tuple(_whole("spawn key", k, 0) for k in key)
+        return replace(self, spawn_key=self.spawn_key + keys)
 
     def rng(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _whole(name: str, value) -> int:
-    """value as an int; a fraction, NaN or infinity is rejected, naming the argument."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
-def _check_qubits(num_qubits: int, minimum: int = 2) -> int:
-    n = _whole("qubit count", num_qubits)
-    if not minimum <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be {minimum}..{MAX_QUBITS}, got {n}")
-    return n
-
-
 def basis_state(num_qubits: int, bits) -> np.ndarray:
     """Computational basis ket. ``bits`` is an index or an MSB-first bit string."""
-    n = _check_qubits(num_qubits, minimum=1)
+    n = _whole("qubit count", num_qubits, 1, MAX_QUBITS)
     if isinstance(bits, str):
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise ValueError(f"bit string must be {n} characters of 0/1")
         index = int(bits, 2)
     else:
-        index = _whole("basis index", bits)
-    if not 0 <= index < 2 ** n:
-        raise ValueError(f"basis index {index} out of range")
+        index = _whole("basis index", bits, 0, 2 ** n - 1)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[index] = 1.0
     return vec
@@ -59,7 +44,7 @@ def basis_state(num_qubits: int, bits) -> np.ndarray:
 
 def ghz_state(num_qubits: int) -> np.ndarray:
     """(|0...0> + |1...1>) / sqrt(2); the two-qubit case is the Bell state."""
-    n = _check_qubits(num_qubits)
+    n = _whole("qubit count", num_qubits, 2, MAX_QUBITS)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
     return vec
@@ -67,7 +52,7 @@ def ghz_state(num_qubits: int) -> np.ndarray:
 
 def w_state(num_qubits: int) -> np.ndarray:
     """Equal superposition of all weight-one basis states."""
-    n = _check_qubits(num_qubits)
+    n = _whole("qubit count", num_qubits, 2, MAX_QUBITS)
     vec = np.zeros(2 ** n, dtype=complex)
     for k in range(n):
         vec[2 ** (n - 1 - k)] = 1.0 / np.sqrt(n)
@@ -108,7 +93,7 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 
 def haar_random_pure(num_qubits: int, sampler: SeededSampler) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
-    dim = 2 ** _check_qubits(num_qubits)
+    dim = 2 ** _whole("qubit count", num_qubits, 2, MAX_QUBITS)
     return _haar_into(sampler, np.empty(dim, dtype=complex), np.empty((2, dim)))
 
 
@@ -134,12 +119,9 @@ def random_mixed(num_qubits: int, ancilla_qubits: int, sampler: SeededSampler) -
     Obtained by tracing ``ancilla_qubits`` trailing qubits out of a
     Haar-random pure state; zero ancillas give a pure-state projector.
     """
-    n = _check_qubits(num_qubits, minimum=1)
-    extra = _whole("ancilla count", ancilla_qubits)
-    if extra < 0:
-        raise ValueError("ancilla count must be nonnegative")
-    total = _check_qubits(n + extra)
-    psi = haar_random_pure(total, sampler)
+    n = _whole("qubit count", num_qubits, 1, MAX_QUBITS)
+    extra = _whole("ancilla count", ancilla_qubits, 0)
+    psi = haar_random_pure(n + extra, sampler)
     if extra == 0:
         return np.outer(psi, psi.conj())
     return reduced_state(psi, tuple(range(n)))

@@ -578,6 +578,25 @@ def test_eof_domain_is_checked_once_per_profile_block(tmp_path, monkeypatch):
     assert checks[-1] == "test_eof_domain_is_checked_once_per_profile_block"
 
 
+def test_integer_rule_runs_per_campaign_not_per_sample(tmp_path, monkeypatch):
+    names, whole = [], entmono.linalg._whole
+
+    def counting(name, *args):
+        names.append(name)
+        return whole(name, *args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("entmono.") and hasattr(module, "_whole"):
+            monkeypatch.setattr(module, "_whole", counting)
+    counts = []
+    for samples in ("20", "200"):  # the verify-wide-light benchmark operation, then 10x samples
+        names.clear()
+        assert main(["verify", "--samples", samples, "--qubits", "4,8,12", "--bound", "ckw",
+                     "--bound", "tight-split", "--out", str(tmp_path / "r.json")]) == 0
+        counts.append(sorted(names))
+    assert counts[0] == counts[1] and {"samples", "seed", "qubit count"} <= set(counts[0])
+
+
 def test_cli_verify_round_trip(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--samples", "40", "--seed", "3", "--bound", "ckw",

@@ -1,12 +1,15 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from entmono.engine import campaign_state
-from entmono.linalg import _as_hermitian, reduced_state
-from entmono.measures import concurrence_pure, wootters_concurrence
+from entmono.engine import CampaignConfig, campaign_state, run_campaign
+from entmono.linalg import _as_hermitian, partial_trace, reduced_state
+from entmono.measures import (concurrence_pure, convex_roof_upper_bound, eof_pure,
+                              wootters_concurrence)
+from entmono.monogamy import BoundKind, PartitionSpec
 from entmono.states import (
     SeededSampler,
     basis_state,
@@ -65,7 +68,38 @@ def test_generalized_schmidt_validation():
             generalized_schmidt(lambdas, phi)
 
 
+_CKW = BoundKind("ckw", 2.0)
+_MIXED = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+_BAD = (1.5, math.nan, math.inf, True)
+# each public integer argument, a call that passes v as that argument, and the
+# non-integers given to it
+_INTEGER_ARGUMENTS = [
+    ("split index m", lambda v: BoundKind("tight-split", 2.0, v), _BAD),
+    ("focus", lambda v: PartitionSpec(v, (1, 2)), _BAD),
+    ("rest", lambda v: PartitionSpec(0, (1, v)), _BAD),
+    ("spawn key", lambda v: SeededSampler(0).child(v), _BAD),
+    ("qubit position", lambda v: reduced_state(w_state(3), (v,)), _BAD),
+    ("qubit position", lambda v: partial_trace(np.eye(8) / 8, (0, v)), _BAD),
+    ("qubit position", lambda v: concurrence_pure(w_state(3), (v,)), _BAD),
+    ("qubit position", lambda v: eof_pure(w_state(3), (v,)), _BAD),
+    ("samples", lambda v: CampaignConfig(v, (3,), (_CKW,), 0), _BAD),
+    ("seed", lambda v: CampaignConfig(5, (3,), (_CKW,), v), _BAD),
+    ("qubit count", lambda v: CampaignConfig(5, (v,), (_CKW,), 0), _BAD),
+    ("seed", lambda v: campaign_state(v, 3, 0), _BAD),
+    ("qubit count", lambda v: campaign_state(0, v, 0), (math.nan, math.inf, True)),
+    ("index", lambda v: campaign_state(0, 3, v), (True,)),
+    ("qubit count", lambda v: basis_state(v, 0), (True,)),
+    ("basis index", lambda v: basis_state(3, v), (True,)),
+    ("qubit count", lambda v: random_mixed(v, 0, SeededSampler(0)), (True,)),
+    ("ancilla count", lambda v: random_mixed(2, v, SeededSampler(0)), (True,)),
+    ("trials", lambda v: convex_roof_upper_bound(_MIXED, trials=v), _BAD),
+    ("seed", lambda v: convex_roof_upper_bound(_MIXED, seed=v), _BAD),
+]
+
+
 @pytest.mark.parametrize("call, message", [
+    *[(functools.partial(call, v), f"{name} must be an integer, got {v}")
+      for name, call, values in _INTEGER_ARGUMENTS for v in values],
     (lambda: campaign_state(0, 3, 1.5), "index must be an integer, got 1.5"),
     (lambda: campaign_state(0, 3, math.nan), "index must be an integer, got nan"),
     (lambda: campaign_state(0, 3, -1), "index must be >= 0, got -1"),
@@ -82,6 +116,14 @@ def test_indices_and_counts_are_whole_numbers(call, message):
 def test_integral_values_of_other_types_are_the_same_index():
     np.testing.assert_array_equal(campaign_state(0, np.int64(3), 2.0), campaign_state(0, 3, 2))
     np.testing.assert_array_equal(basis_state(3.0, np.int32(2)), basis_state(3, 2))
+    assert PartitionSpec(np.int64(0), (1.0, 2)) == PartitionSpec(0, (1, 2))
+    assert BoundKind("tight-split", 2.0, np.int64(1)) == BoundKind("tight-split", 2.0, 1)
+    config = CampaignConfig(20.0, (np.int64(3), 4.0), (_CKW,), np.uint8(7))
+    assert (run_campaign(config).to_json()
+            == run_campaign(CampaignConfig(20, (3, 4), (_CKW,), 7)).to_json())
+    # an integer seed passes at any size, with no round trip through a float
+    np.testing.assert_array_equal(campaign_state(10**400, 3, 0),
+                                  haar_random_pure(3, SeededSampler(10**400, (3, 0))))
 
 
 def test_generalized_schmidt_concurrence_identities():

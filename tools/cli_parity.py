@@ -17,7 +17,8 @@ directory, with numpy and json alone, so neither tree writes its own input.
 The list covers the three bundled examples, the -800, -1e3 and -inf example
 grids, campaigns at several qubit counts and seeds, one over a grid of
 powers, two with a pinned split index --m, one whose 12-qubit samples
-end on a short profile block, a negative seed and a tolerance of -NaN, and
+end on a short profile block, a negative seed, a tolerance of -NaN, zero
+samples, qubit counts 13 and 2, a split index --m of 0, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state. It is a check of behaviour kept
 across a change, so a change that means to alter behaviour shows its
@@ -102,6 +103,9 @@ def _commands(state_paths) -> list:
                      "--bound", "tight-split", "--seed", "5"])
     commands.append(["verify", "--samples", "5", "--seed", "-1"])
     commands.append(["verify", "--samples", "5", "--tolerance", "-NaN"])
+    commands += [["verify", "--samples", "0"], ["verify", "--qubits", "13"],
+                 ["verify", "--qubits", "2"],
+                 ["verify", "--qubits", "4", "--bound", "tight-split", "--m", "0"]]
     for path in state_paths:
         commands.append(["measure", "--state", str(path)])
         for bound, baseline, lo, hi, step in SWEEPS:
