@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import MAX_QUBITS, _whole
-from .monogamy import (FAILS, HOLDS, UNDECIDED, PartitionSpec, ProfileBlock,
+from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
 from .states import SeededSampler, _haar_into, haar_random_pure
@@ -35,25 +35,27 @@ class CampaignConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        # whole numbers from here on, so samples=2.0 is samples=2 down to the report
-        object.__setattr__(self, "samples", _whole("samples", self.samples))
-        object.__setattr__(self, "qubit_counts",
-                           tuple(_whole("qubit count", n) for n in self.qubit_counts))
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
-
-    def validate(self) -> None:
-        _whole("samples", self.samples, 1)
-        _whole("seed", self.seed, 0)
-        for n in self.qubit_counts:
-            _whole("qubit count", n, 3, MAX_QUBITS)
+        # the one check of a config, so run_campaign trusts it and equal configs report alike
+        object.__setattr__(self, "samples", _whole("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
+        object.__setattr__(self, "qubit_counts", tuple(
+            _whole("qubit count", n, 3, MAX_QUBITS) for n in self.qubit_counts))
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         if len(set(self.qubit_counts)) < len(self.qubit_counts):
             raise ValueError("qubit counts must not repeat")
         if not self.kinds:
             raise ValueError("no bounds selected")
+        if not all(isinstance(kind, BoundKind) for kind in self.kinds):
+            raise ValueError(f"bound kinds must be BoundKind values, got {self.kinds!r}")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError("bound kinds must not repeat")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not isinstance(
+                tolerance, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError("tolerance must be positive and finite")
+        object.__setattr__(self, "tolerance", float(tolerance))
         for kind in self.kinds:
             if not any(kind.fits(n) for n in self.qubit_counts):
                 raise ValueError(f"{kind} fits none of the requested qubit counts")
@@ -153,7 +155,6 @@ def _profiles(seed: int, n: int, part: PartitionSpec, start: int, stop: int) -> 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
-    config.validate()
     rows = []
     for n in config.qubit_counts:
         fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))

@@ -64,20 +64,19 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _grid_from_args(args, default: tuple | None):
+def _grid_from_args(args) -> tuple | None:
+    """The --alpha-* grid, or None when none of the three flags is given."""
     given = [args.alpha_min, args.alpha_max, args.alpha_step]
     if all(v is None for v in given):
-        if default is None:
-            raise ValueError("--alpha-min, --alpha-max and --alpha-step are required")
-        return alpha_grid(*default)
+        return None
     if any(v is None for v in given):
         raise ValueError("--alpha-min, --alpha-max and --alpha-step go together")
-    return alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
+    return alpha_grid(*given)
 
 
 def _cmd_example(args) -> int:
     label, state, tight, base, default_grid = _EXAMPLE_SETUPS[args.id]
-    grid = _grid_from_args(args, default_grid)
+    grid = _grid_from_args(args) or alpha_grid(*default_grid)
     prof = profile(state())
     sweep = residual_sweep(prof, tight, base, grid)
     print(f"# example {args.id}: {label}", file=sys.stderr)
@@ -96,12 +95,10 @@ def _cmd_example(args) -> int:
 
 def _cmd_verify(args) -> int:
     qubit_counts = tuple(args.qubits)
-    gridded = any(v is not None for v in (args.alpha_min, args.alpha_max, args.alpha_step))
     config = CampaignConfig(
         samples=args.samples,
         qubit_counts=qubit_counts,
-        kinds=campaign_kinds(args.bound, _grid_from_args(args, None) if gridded else None,
-                             args.m, qubit_counts),
+        kinds=campaign_kinds(args.bound, _grid_from_args(args), args.m, qubit_counts),
         seed=args.seed,
         tolerance=args.tolerance,
     )
@@ -165,7 +162,9 @@ def _cmd_sweep(args) -> int:
     _, part, pure = _load_partitioned(args)
     if pure is None:
         raise ValueError("sweep needs a pure state (amplitudes or a rank-one density matrix)")
-    grid = _grid_from_args(args, None)
+    grid = _grid_from_args(args)
+    if grid is None:
+        raise ValueError("--alpha-min, --alpha-max and --alpha-step are required")
     prof = profile_batch(pure[None], part)
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)
     if sweep.applicable_tightened is not True:

@@ -217,11 +217,11 @@ class PartitionSpec:
 
     @classmethod
     def default(cls, num_qubits: int) -> "PartitionSpec":
-        return cls(0, tuple(range(1, num_qubits)))
+        return cls(0, tuple(range(1, _whole("qubit count", num_qubits))))
 
     def validate(self, num_qubits: int) -> None:
         parties = (self.focus,) + self.rest
-        if sorted(parties) != list(range(num_qubits)):
+        if sorted(parties) != list(range(_whole("qubit count", num_qubits))):
             raise ValueError("partition must list every qubit exactly once")
         if len(self.rest) < 2:
             raise ValueError("at least three parties are required")

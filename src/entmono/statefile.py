@@ -42,7 +42,7 @@ def load_state_file(path: str) -> LoadedState:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_constant=_reject_constant)
-        except ValueError as exc:  # JSONDecodeError is a ValueError too
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: state file must be a JSON object")

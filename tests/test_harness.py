@@ -71,7 +71,7 @@ def test_state_file_round_trip_density(tmp_path):
     np.testing.assert_allclose(loaded.density_matrix, rho, atol=1e-15)
 
 
-def test_state_file_validation(tmp_path):
+def test_state_file_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         save_state_file(str(tmp_path / "x.json"))
     with pytest.raises(ValueError):
@@ -81,57 +81,70 @@ def test_state_file_validation(tmp_path):
     amps = [[a, 0.0] for a in np.sqrt([0.5, 0.5, 0.0, 0.0])]
     good = {"format_version": "1", "num_qubits": 2, "amplitudes": amps}
     assert load_state_file(_write_json(tmp_path / "ok.json", good)).num_qubits == 2
+    neither = {"format_version": "1", "num_qubits": 2}
 
-    for breakage in (
-        {"format_version": "2"},
-        {"num_qubits": "2"},
-        {"amplitudes": amps[:2]},
-        {"amplitudes": [[1.0, 0.0, 0.0]] * 4},
-        {"amplitudes": [[1.0, 0.0]] * 4},  # norm 2
-        {"num_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},  # a bool is not a count
+    for bad, message in (
+        ({**good, "format_version": "2"}, "unsupported format_version '2'"),
+        ({**good, "num_qubits": "2"}, "num_qubits must be an integer 1..12"),
+        ({**good, "amplitudes": amps[:2]}, "expected 4 amplitudes, got 2"),
+        ({**good, "amplitudes": [[1.0, 0.0, 0.0]] * 4}, "must be a list of [real, imag] pairs"),
+        ({**good, "amplitudes": [[1.0, 0.0], [0.0]] * 2}, "must be a list of [real, imag] pairs"),
+        ({**good, "amplitudes": [["one", 0.0]] * 4}, "must be a list of [real, imag] pairs"),
+        ({**good, "amplitudes": [[1.0, 0.0]] * 4}, "norm 2.0 deviates from 1"),
+        # a bool is not a count
+        ({**good, "num_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+         "num_qubits must be an integer"),
+        ({**good, "density_matrix": [[0.25, 0.0]] * 16}, "exactly one of amplitudes or"),
+        (neither, "exactly one of amplitudes or"),
+        ({**neither, "density_matrix": [[0.25, 0.0]] * 15}, "expected 16 row-major density"),
     ):
-        bad = {**good, **breakage}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_state_file(_write_json(tmp_path / "bad.json", bad))
 
-    both = {**good, "density_matrix": [[0.25, 0.0]] * 16}
-    with pytest.raises(ValueError):
-        load_state_file(_write_json(tmp_path / "both.json", both))
-    neither = {"format_version": "1", "num_qubits": 2}
-    with pytest.raises(ValueError):
-        load_state_file(_write_json(tmp_path / "none.json", neither))
     (tmp_path / "trash.json").write_text("{not json")
     with pytest.raises(ValueError):
         load_state_file(str(tmp_path / "trash.json"))
     (tmp_path / "arr.json").write_text("[1, 2]")
     with pytest.raises(ValueError):
         load_state_file(str(tmp_path / "arr.json"))
+    # nesting past the parser's recursion limit is invalid JSON too: exit 2, no traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="not valid JSON"):
+        load_state_file(str(deep))
+    capsys.readouterr()
+    for command in (["measure"], ["sweep", "--bound", "ckw", "--baseline", "alpha-power"]):
+        assert main([*command, "--state", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err and "Traceback" not in err
 
 
 def test_campaign_config_validation():
     kind = BoundKind(BoundId.CKW, 2.0)
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(0, (3,), (kind,), 0))
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(5, (2,), (kind,), 0))
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(5, (3,), (), 0))
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(5, (13,), (kind,), 0))
-    for tolerance in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            run_campaign(CampaignConfig(5, (3,), (kind,), 0, tolerance=tolerance))
     split = BoundKind(BoundId.TIGHT_SPLIT, 2.0)
-    with pytest.raises(ValueError):
-        run_campaign(CampaignConfig(5, (3,), (split,), 0))
-    with pytest.raises(ValueError, match="fits none"):
-        run_campaign(CampaignConfig(5, (4,), (BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2),), 0))
-    with pytest.raises(ValueError, match="repeat"):
-        run_campaign(CampaignConfig(5, (3, 3), (kind,), 0))
-    with pytest.raises(ValueError, match="repeat"):
-        run_campaign(CampaignConfig(5, (3,), (kind, BoundKind(BoundId.CKW, 2.0)), 0))
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        run_campaign(CampaignConfig(5, (3,), (kind,), -1))
+    # each config is rejected when it is built, so run_campaign never sees one unchecked
+    for args, tolerance, message in (
+        ((0, (3,), (kind,), 0), 1e-10, "samples must be >= 1, got 0"),
+        ((5, (2,), (kind,), 0), 1e-10, "qubit count must be 3..12, got 2"),
+        ((5, (3,), (), 0), 1e-10, "no bounds selected"),
+        ((5, (13,), (kind,), 0), 1e-10, "qubit count must be 3..12, got 13"),
+        ((5, (3,), (kind,), 0), 0.0, "tolerance must be positive and finite"),
+        ((5, (3,), (kind,), 0), math.nan, "tolerance must be positive and finite"),
+        ((5, (3,), (kind,), 0), math.inf, "tolerance must be positive and finite"),
+        ((5, (3,), (split,), 0), 1e-10, "tight-split fits none of the requested qubit counts"),
+        ((5, (4,), (BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2),), 0), 1e-10,
+         "tight-split with m = 2 fits none of the requested qubit counts"),
+        ((5, (3, 3), (kind,), 0), 1e-10, "qubit counts must not repeat"),
+        ((5, (3,), (kind, BoundKind(BoundId.CKW, 2.0)), 0), 1e-10,
+         "bound kinds must not repeat"),
+        ((5, (3,), (kind,), -1), 1e-10, "seed must be >= 0, got -1"),
+        ((5, (3,), (kind,), 0), True, "tolerance must be a real number, got True"),
+        ((5, (3,), (kind,), 0), "1e-10", "tolerance must be a real number, got '1e-10'"),
+        ((5, (3,), (kind,), 0), None, "tolerance must be a real number, got None"),
+        ((5, (3,), ("ckw",), 0), 1e-10, "bound kinds must be BoundKind values, got ('ckw',)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CampaignConfig(*args, tolerance=tolerance)
 
 
 def test_campaign_state_rejects_a_negative_seed():
@@ -595,6 +608,13 @@ def test_integer_rule_runs_per_campaign_not_per_sample(tmp_path, monkeypatch):
                      "--bound", "tight-split", "--out", str(tmp_path / "r.json")]) == 0
         counts.append(sorted(names))
     assert counts[0] == counts[1] and {"samples", "seed", "qubit count"} <= set(counts[0])
+    # building the config is its one check; run_campaign checks no field of it again
+    names.clear()
+    config = CampaignConfig(20, (4, 8, 12), (BoundKind(BoundId.CKW, 2.0),), 0)
+    assert names == ["samples", "seed"] + ["qubit count"] * 3
+    names.clear()
+    run_campaign(config)
+    assert "samples" not in names and "seed" not in names
 
 
 def test_cli_verify_round_trip(tmp_path):

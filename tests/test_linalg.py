@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,8 @@ def test_as_density_matrix_validation():
         as_density_matrix(np.diag([1.1, -0.1]))
     with pytest.raises(ValueError, match="non-finite"):
         as_density_matrix(np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        as_density_matrix(np.ones((2, 4)))
 
 
 def test_hermitian_eigenvalues_descending():
@@ -140,6 +144,8 @@ def test_partial_trace_rejects_bad_keeps():
         partial_trace(rho, (0, 0))
     with pytest.raises(ValueError):
         partial_trace(rho, (2,))
+    with pytest.raises(ValueError, match=re.escape("matrix shape (4, 2) does not match 2 qubits")):
+        partial_trace(np.ones((4, 2)), (0,))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

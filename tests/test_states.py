@@ -94,6 +94,8 @@ _INTEGER_ARGUMENTS = [
     ("ancilla count", lambda v: random_mixed(2, v, SeededSampler(0)), (True,)),
     ("trials", lambda v: convex_roof_upper_bound(_MIXED, trials=v), _BAD),
     ("seed", lambda v: convex_roof_upper_bound(_MIXED, seed=v), _BAD),
+    ("qubit count", lambda v: PartitionSpec.default(v), _BAD),
+    ("qubit count", lambda v: PartitionSpec(0, (1, 2)).validate(v), _BAD),
 ]
 
 
@@ -121,6 +123,11 @@ def test_integral_values_of_other_types_are_the_same_index():
     config = CampaignConfig(20.0, (np.int64(3), 4.0), (_CKW,), np.uint8(7))
     assert (run_campaign(config).to_json()
             == run_campaign(CampaignConfig(20, (3, 4), (_CKW,), 7)).to_json())
+    # so are a tolerance of any real type and kinds in a list
+    assert len({run_campaign(CampaignConfig(20, (3,), kinds, 7, tolerance)).to_json()
+                for kinds, tolerance in (([_CKW], 1), ((_CKW,), 1.0),
+                                         ((_CKW,), np.float64(1.0)),
+                                         ((_CKW,), np.float32(1.0)))}) == 1
     # an integer seed passes at any size, with no round trip through a float
     np.testing.assert_array_equal(campaign_state(10**400, 3, 0),
                                   haar_random_pure(3, SeededSampler(10**400, (3, 0))))

@@ -20,7 +20,8 @@ powers, two with a pinned split index --m, one whose 12-qubit samples
 end on a short profile block, a negative seed, a tolerance of -NaN, zero
 samples, qubit counts 13 and 2, a split index --m of 0, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
-n = 3, 4, 5, 8, 12 and on one mixed state. It is a check of behaviour kept
+n = 3, 4, 5, 8, 12 and on one mixed state, and ``measure`` and ``sweep`` on
+a file nested 100,000 arrays deep. It is a check of behaviour kept
 across a change, so a change that means to alter behaviour shows its
 commands here.
 """
@@ -79,7 +80,14 @@ def _state_files(folder: Path) -> list:
     return paths
 
 
-def _commands(state_paths) -> list:
+def _nested_file(folder: Path) -> Path:
+    """A file of arrays nested past the JSON parser's recursion limit."""
+    path = folder / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def _commands(state_paths, nested: Path) -> list:
     commands = [["example", "--id", str(i)] for i in (1, 2, 3)]
     commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
                   "--alpha-step", "799"],
@@ -112,6 +120,9 @@ def _commands(state_paths) -> list:
             commands.append(["sweep", "--state", str(path), "--bound", bound,
                              "--baseline", baseline, "--alpha-min", lo, "--alpha-max", hi,
                              "--alpha-step", step])
+    commands += [["measure", "--state", str(nested)],
+                 ["sweep", "--state", str(nested), "--bound", "ckw", "--baseline", "alpha-power",
+                  "--alpha-min", "2", "--alpha-max", "3", "--alpha-step", "0.5"]]
     return commands
 
 
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
     parent, change = (str(Path(a).resolve()) for a in args)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
-        commands = _commands(_state_files(Path(folder)))
+        commands = _commands(_state_files(Path(folder)), _nested_file(Path(folder)))
         for command in commands:
             before, after = _run(parent, command), _run(change, command)
             if before != after:
