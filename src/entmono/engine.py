@@ -7,12 +7,11 @@ of BLOCK_BYTES of amplitudes, in buffers allocated once per qubit count, and
 evaluated BLOCK_BYTES // 16 at a time; neither size changes a report value.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _whole
+from .linalg import MAX_QUBITS, _finite, _whole
 from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
@@ -49,13 +48,9 @@ class CampaignConfig:
             raise ValueError(f"bound kinds must be BoundKind values, got {self.kinds!r}")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError("bound kinds must not repeat")
-        tolerance = self.tolerance
-        if isinstance(tolerance, bool) or not isinstance(
-                tolerance, (int, float, np.integer, np.floating)):
-            raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
-        if not (math.isfinite(tolerance) and tolerance > 0.0):
-            raise ValueError("tolerance must be positive and finite")
-        object.__setattr__(self, "tolerance", float(tolerance))
+        object.__setattr__(self, "tolerance", float(_finite("tolerance", self.tolerance)))
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         for kind in self.kinds:
             if not any(kind.fits(n) for n in self.qubit_counts):
                 raise ValueError(f"{kind} fits none of the requested qubit counts")

@@ -47,6 +47,32 @@ def _whole(name: str, value, lo: int | None = None, hi: int | None = None) -> in
     return n
 
 
+def _finite(name: str, value, dtype: type = float) -> np.ndarray:
+    """value as a float64 array, or complex128 for dtype complex; the one real-number rule.
+
+    Python and numpy integers and floats (and complex numbers for complex), alone
+    or nested, convert as np.asarray(value, dtype) does; a bool, string, None or
+    other object, a complex number where a real is required, an integer too large
+    for a float, NaN or an infinity is a ValueError naming the argument.
+    """
+    kinds = "iufc" if dtype is complex else "iuf"
+    raw = value
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds):
+        raw = np.asarray(value, dtype=object)  # numpy reads bools and strings as numbers
+        wrong = {t for t in set(map(type, raw.flat)) if np.dtype(t).kind not in kinds}
+        if wrong:
+            what = "real number" if dtype is float else "number"
+            raise ValueError(f"{name} must be {'a ' + what if raw.ndim == 0 else what + 's'}, "
+                             f"got {next(x for x in raw.flat if type(x) in wrong)!r}")
+    try:  # an object array's elements convert as they do from a list, each by itself
+        arr = np.asarray(raw, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
+
+
 def num_qubits_of(dim: int) -> int:
     """Qubit count for Hilbert-space dimension ``dim``, which must be 2**n."""
     n = int(dim).bit_length() - 1
@@ -59,12 +85,10 @@ def num_qubits_of(dim: int) -> int:
 
 def as_state_vector(psi) -> np.ndarray:
     """Coerce and validate a finite, normalized pure-state vector."""
-    vec = np.asarray(psi, dtype=complex)
+    vec = _finite("state vector", psi, complex)
     if vec.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
     num_qubits_of(vec.shape[0])
-    if not np.isfinite(vec).all():
-        raise ValueError("state vector has non-finite amplitudes")
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > _NORM_ATOL:
         raise ValueError(f"state vector norm {norm} deviates from 1 beyond {_NORM_ATOL}")
@@ -72,11 +96,9 @@ def as_state_vector(psi) -> np.ndarray:
 
 
 def _as_hermitian(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = _finite("matrix", matrix, complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
     if np.abs(m - m.conj().T).max() > _HERMITIAN_RTOL * np.abs(m).max():
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
@@ -112,12 +134,10 @@ def partial_trace(rho, keep) -> np.ndarray:
     Kept qubits retain their original relative (MSB-first) order. ``keep``
     must be a nonempty proper subset of the register.
     """
-    m = np.asarray(rho, dtype=complex)
+    m = _finite("matrix", rho, complex)
     n = num_qubits_of(m.shape[0])
     if m.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} qubits")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
     kept = _kept_positions(keep, n)
     traced = [q for q in range(n) if q not in kept]
     tensor = m.reshape([2] * (2 * n))

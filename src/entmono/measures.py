@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .linalg import _whole, as_density_matrix, reduced_state
+from .linalg import _finite, _whole, as_density_matrix, reduced_state
 
 _DOMAIN_ATOL = 1e-10
 
@@ -58,14 +58,6 @@ _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 # how far below zero the bound must lie before a matrix skips the exact path
 SCREEN_MARGIN = 1e-3
 ROOF_CHUNK = 3 * 512  # trials per batch of convex_roof_upper_bound (see above)
-
-
-def _unit_interval(x, what: str) -> np.ndarray:
-    """``x`` as floats clipped to [0, 1]; NaN or values beyond _DOMAIN_ATOL raise."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= -_DOMAIN_ATOL) & (arr <= 1.0 + _DOMAIN_ATOL)):
-        raise ValueError(f"{what} outside [0, 1] beyond tolerance")
-    return np.clip(arr, 0.0, 1.0)
 
 
 def _xlogx(x) -> np.ndarray:
@@ -88,9 +80,13 @@ def eof_from_squared_concurrence(x):
     """Entanglement of formation from squared concurrence.
 
     Computes h((1 + sqrt(1 - x)) / 2), the exact relation for two-qubit
-    mixed states and 2 x d pure cuts. Accepts scalars or arrays in [0, 1].
+    mixed states and 2 x d pure cuts. Accepts scalars or arrays in [0, 1];
+    values up to _DOMAIN_ATOL outside it are clipped, and others raise.
     """
-    h = _eof(_unit_interval(x, "squared concurrence"))
+    arr = _finite("squared concurrence", x)
+    if not np.all((arr >= -_DOMAIN_ATOL) & (arr <= 1.0 + _DOMAIN_ATOL)):
+        raise ValueError("squared concurrence outside [0, 1] beyond tolerance")
+    h = _eof(np.clip(arr, 0.0, 1.0))
     return float(h) if np.ndim(x) == 0 else h
 
 

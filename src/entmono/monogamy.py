@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _reduce, _whole, as_state_vector, num_qubits_of
+from .linalg import MAX_QUBITS, _finite, _reduce, _whole, as_state_vector, num_qubits_of
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 _COMPARISON_ATOL = 1e-12
@@ -112,9 +112,7 @@ class _Family(NamedTuple):
         return (lo - _POWER_ATOL <= alpha) & (alpha < hi)
 
     def check_power(self, bound: BoundId, alpha: float) -> None:
-        """Reject a non-finite alpha, or one outside powers, naming the bound."""
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha}")
+        """Reject a finite alpha outside powers, naming the bound."""
         if not self.allows(alpha):
             lo, hi = self.powers
             need = f"alpha = {lo:g}" if lo == hi else f"{lo:g} <= alpha < {hi:g}"
@@ -154,7 +152,7 @@ class BoundKind:
 
     def __post_init__(self):
         object.__setattr__(self, "id", BoundId(self.id))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", float(_finite("alpha", self.alpha)))
         family = _FAMILIES[self.id]
         family.check_power(self.id, self.alpha)
         if self.m is not None:
@@ -184,6 +182,7 @@ def campaign_kinds(bounds, grid, m: int | None, qubit_counts) -> tuple:
     picked = ([BoundId(b) for b in bounds] if bounds
               else [b for b, family in _FAMILIES.items() if family.battery])
     _check_split_index(picked, m)
+    grid = None if grid is None else _finite("grid", grid)
     kinds = []
     for bound in picked:
         family = _FAMILIES[bound]
@@ -544,8 +543,8 @@ class AlphaSweep:
 
 def alpha_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive grid lo, lo+step, ... up to hi (within float tolerance)."""
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValueError("alpha grid bounds and step must be finite")
+    lo, hi, step = (float(_finite(f"alpha {name}", v))
+                    for name, v in (("min", lo), ("max", hi), ("step", step)))
     if step <= 0.0:
         raise ValueError("alpha step must be positive")
     if hi < lo:
@@ -566,27 +565,26 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     overflowing power makes a bound's applicability vary along the grid,
     and its residual NaN there.
     """
-    grid = tuple(float(a) for a in alphas)
-    if not grid:
-        raise ValueError("empty alpha grid")
+    points = _finite("alphas", alphas)
+    if points.ndim != 1 or not points.size:
+        raise ValueError("alphas must be a nonempty sequence of powers")
     _check_split_index((tightened, baseline), m)
-    # the kinds at grid[0] carry the m and fit checks; later points need the power rule
-    kinds = [BoundKind(b, grid[0], m if _FAMILIES[BoundId(b)].shape == "split" else None)
+    # the kinds at points[0] carry the m and fit checks; later points need the power rule
+    kinds = [BoundKind(b, points[0], m if _FAMILIES[BoundId(b)].shape == "split" else None)
              for b in (tightened, baseline)]
     families = [_family_on(kind, block) for kind in kinds]
-    points = np.array(grid)
-    bad = ~(np.isfinite(points) & families[0].allows(points) & families[1].allows(points))
+    bad = ~(families[0].allows(points) & families[1].allows(points))
     if bad.any():  # the first bad point, and at it the tightened bound first
         for kind, family in zip(kinds, families):
-            family.check_power(kind.id, grid[bad.argmax()])
+            family.check_power(kind.id, float(points[bad.argmax()]))
     curves, applicable = [], []
     for kind, family in zip(kinds, families):
-        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), grid)
+        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), points)
         ok = ~np.isnan(v.slack[0])
-        y = np.full(len(grid), np.nan)  # NaN where the point is not verifiable
+        y = np.full(len(points), np.nan)  # NaN where the point is not verifiable
         y[ok] = v.lhs[0, ok] - v.rhs[0, ok]  # not -slack, which turns +0.0 into -0.0
         curves.append(tuple(y.tolist()))
         applicable.append(v.applicable[0])
-    return AlphaSweep(grid, curves[0], curves[1], kinds[0].id, kinds[1].id,
+    return AlphaSweep(tuple(points.tolist()), curves[0], curves[1], kinds[0].id, kinds[1].id,
                       _VERDICT[_fold(applicable[0])], _VERDICT[_fold(applicable[1])],
                       int(np.count_nonzero(applicable[0] == HOLDS)))

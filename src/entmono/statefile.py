@@ -2,8 +2,8 @@
 
 A file holds format_version "1", num_qubits and exactly one of amplitudes
 (2**n entries, MSB-first basis order) or density_matrix (4**n entries,
-row-major); each complex entry is a [real, imag] pair. The loader validates
-everything once, and rejects NaN and Infinity tokens.
+row-major); each complex entry is a [real, imag] pair of JSON numbers. The loader
+checks everything once, the entries by the one real-number rule, linalg._finite.
 """
 
 import json
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, as_density_matrix, as_state_vector, num_qubits_of
+from .linalg import MAX_QUBITS, _finite, as_density_matrix, as_state_vector, num_qubits_of
 
 STATE_FORMAT_VERSION = "1"
 
@@ -24,24 +24,17 @@ class LoadedState:
 
 
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a list of [real, imag] pairs") from None
+    arr = _finite(what, pairs)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{what} must be a list of [real, imag] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _reject_constant(token: str):
-    raise ValueError(f"{token} is not a finite number")
-
-
 def load_state_file(path: str) -> LoadedState:
-    """Read and validate a JSON state file; NaN and Infinity tokens are rejected."""
+    """Read and validate a JSON state file; its entries go through linalg._finite."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=_reject_constant)
+            data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _NORM_ATOL, _whole, reduced_state
+from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _whole, reduced_state
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,9 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 
     independent of phi and l1.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam, phi = _finite("Schmidt coefficients", lambdas), float(_finite("phi", phi))
     if lam.shape != (5,):
         raise ValueError("five Schmidt coefficients are required")
-    if not (np.isfinite(lam).all() and np.isfinite(phi)):
-        raise ValueError(f"Schmidt coefficients or phi are non-finite, got {lam.tolist()}, {phi}")
     if np.any(lam < -1e-12):
         raise ValueError("Schmidt coefficients must be nonnegative")
     lam = np.clip(lam, 0.0, None)
@@ -84,7 +82,7 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
         raise ValueError("Schmidt coefficients must have unit sum of squares")
     vec = np.zeros(8, dtype=complex)
     vec[0b000] = lam[0]
-    vec[0b100] = lam[1] * np.exp(1j * float(phi))
+    vec[0b100] = lam[1] * np.exp(1j * phi)
     vec[0b101] = lam[2]
     vec[0b110] = lam[3]
     vec[0b111] = lam[4]

@@ -88,8 +88,10 @@ def test_state_file_validation(tmp_path, capsys):
         ({**good, "num_qubits": "2"}, "num_qubits must be an integer 1..12"),
         ({**good, "amplitudes": amps[:2]}, "expected 4 amplitudes, got 2"),
         ({**good, "amplitudes": [[1.0, 0.0, 0.0]] * 4}, "must be a list of [real, imag] pairs"),
-        ({**good, "amplitudes": [[1.0, 0.0], [0.0]] * 2}, "must be a list of [real, imag] pairs"),
-        ({**good, "amplitudes": [["one", 0.0]] * 4}, "must be a list of [real, imag] pairs"),
+        # an entry that is not a number, ragged nesting included, is named by the number rule
+        ({**good, "amplitudes": [[1.0, 0.0], [0.0]] * 2},
+         "amplitudes must be real numbers, got [1.0, 0.0]"),
+        ({**good, "amplitudes": [["one", 0.0]] * 4}, "amplitudes must be real numbers, got 'one'"),
         ({**good, "amplitudes": [[1.0, 0.0]] * 4}, "norm 2.0 deviates from 1"),
         # a bool is not a count
         ({**good, "num_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
@@ -128,9 +130,9 @@ def test_campaign_config_validation():
         ((5, (2,), (kind,), 0), 1e-10, "qubit count must be 3..12, got 2"),
         ((5, (3,), (), 0), 1e-10, "no bounds selected"),
         ((5, (13,), (kind,), 0), 1e-10, "qubit count must be 3..12, got 13"),
-        ((5, (3,), (kind,), 0), 0.0, "tolerance must be positive and finite"),
-        ((5, (3,), (kind,), 0), math.nan, "tolerance must be positive and finite"),
-        ((5, (3,), (kind,), 0), math.inf, "tolerance must be positive and finite"),
+        ((5, (3,), (kind,), 0), 0.0, "tolerance must be > 0, got 0.0"),
+        ((5, (3,), (kind,), 0), math.nan, "tolerance must be finite, got nan"),
+        ((5, (3,), (kind,), 0), math.inf, "tolerance must be finite, got inf"),
         ((5, (3,), (split,), 0), 1e-10, "tight-split fits none of the requested qubit counts"),
         ((5, (4,), (BoundKind(BoundId.TIGHT_SPLIT, 2.0, m=2),), 0), 1e-10,
          "tight-split with m = 2 fits none of the requested qubit counts"),
@@ -565,17 +567,17 @@ def test_cli_measure_and_sweep_check_a_loaded_state_once(tmp_path, monkeypatch, 
 
 def test_eof_domain_is_checked_once_per_profile_block(tmp_path, monkeypatch):
     checks, blocks = [], []
-    checked, profiled = measures._unit_interval, monogamy.profile_batch
+    checked, profiled = measures._finite, monogamy.profile_batch
 
-    def counting_check(x, what):
+    def counting_check(*args):
         checks.append(sys._getframe(2).f_code.co_name)  # the caller of the public EoF
-        return checked(x, what)
+        return checked(*args)
 
     def counting_block(*args):
         blocks.append(len(args[0]))
         return profiled(*args)
 
-    monkeypatch.setattr(measures, "_unit_interval", counting_check)
+    monkeypatch.setattr(measures, "_finite", counting_check)
     monkeypatch.setattr(engine, "profile_batch", counting_block)
     monkeypatch.setattr(harness, "profile_batch", counting_block)
     # the verify-wide-light benchmark operation, then a pure-state measure
@@ -615,6 +617,45 @@ def test_integer_rule_runs_per_campaign_not_per_sample(tmp_path, monkeypatch):
     names.clear()
     run_campaign(config)
     assert "samples" not in names and "seed" not in names
+
+
+def test_real_rule_runs_per_argument_not_per_point_or_sample(tmp_path, monkeypatch):
+    names, finite, blocks, profiled = [], entmono.linalg._finite, [], monogamy.profile_batch
+
+    def counting(name, *args):
+        names.append(name)
+        return finite(name, *args)
+
+    def counting_block(*args):
+        blocks.append(len(args[0]))
+        return profiled(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("entmono.") and hasattr(module, "_finite"):
+            monkeypatch.setattr(module, "_finite", counting)
+    monkeypatch.setattr(engine, "profile_batch", counting_block)
+    state = tmp_path / "w4.json"
+    save_state_file(str(state), amplitudes=w_state(4))
+    counts = []
+    for hi in ("1.7", "4"):  # 11 grid points, then the single-state-cli benchmark's 126
+        names.clear()
+        assert main(["sweep", "--state", str(state), "--bound", "eof-tight-ordered",
+                     "--baseline", "eof-alpha-power", "--alpha-min", "1.5", "--alpha-max", hi,
+                     "--alpha-step", "0.02", "--out", str(tmp_path / "s.csv")]) == 0
+        counts.append(sorted(names))
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 127
+    assert counts[0] == counts[1]
+    assert {"amplitudes", "alpha min", "alpha max", "alpha step", "alphas"} <= set(counts[0])
+    counts = []
+    for samples in ("20", "200"):  # the verify-wide-light benchmark operation, then 10x samples
+        names.clear()
+        blocks.clear()
+        assert main(["verify", "--samples", samples, "--qubits", "4,8,12", "--bound", "ckw",
+                     "--bound", "tight-split", "--out", str(tmp_path / "r.json")]) == 0
+        # the one call a profile block makes is the pair EoF's domain check
+        assert names.count("squared concurrence") == len(blocks) and sum(blocks) == 3 * int(samples)
+        counts.append(sorted(n for n in names if n != "squared concurrence"))
+    assert counts[0] == counts[1] and "tolerance" in counts[0]
 
 
 def test_cli_verify_round_trip(tmp_path):
@@ -760,9 +801,9 @@ def test_cli_negative_word_is_a_value(word, tmp_path, capsys):
     save_state_file(str(state), amplitudes=w_state(3))
     assert main(["sweep", "--state", str(state), "--bound", "upper-mean", "--baseline",
                  "upper-sum", "--alpha-min", word, "--alpha-max", "-1", "--alpha-step", "1"]) == 2
-    assert capsys.readouterr().err == "error: alpha grid bounds and step must be finite\n"
+    assert capsys.readouterr().err == f"error: alpha min must be finite, got {float(word)}\n"
     assert main(["verify", "--samples", "1", "--tolerance", word]) == 2
-    assert capsys.readouterr().err == "error: tolerance must be positive and finite\n"
+    assert capsys.readouterr().err == f"error: tolerance must be finite, got {float(word)}\n"
 
 
 @pytest.mark.parametrize("amplitude", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -839,7 +880,8 @@ _QUBITS = [5, 4, 12, 3, 10, 13, 2, 6, 7, 8, 9, 11]
 _BOUNDS = st.sampled_from(["tight-ordered", "alpha-power", "tight-split", "eof-tight-ordered",
                            "upper-mean", "ckw", "eof-alpha-power", "eof-tight-split",
                            "tight-tripartite", "upper-sum"])  # every BoundId
-_STATES = st.sampled_from(["@haar5", "@ghz4", "@w3", "@mixed3", "@bell2"])  # state_files
+_STATES = st.sampled_from(["@haar5", "@ghz4", "@w3", "@mixed3", "@bell2",
+                           "@bigint3", "@string3", "@bool3"])  # state_files
 
 
 def _maybe(name, values):
@@ -897,7 +939,25 @@ def state_files(tmp_path_factory):
              "bell2": {"amplitudes": np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)}}
     for name, state in files.items():
         save_state_file(str(root / f"{name}.json"), **state)
+    # |000>, written with a first entry that is not a JSON number of float range
+    for name, key, entries in (("bigint3", "amplitudes", [[10**400, 0]] + [[0, 0]] * 7),
+                               ("string3", "density_matrix", [["1", 0]] + [[0, 0]] * 63),
+                               ("bool3", "amplitudes", [[True, 0]] + [[0, 0]] * 7)):
+        _write_json(root / f"{name}.json", {"format_version": "1", "num_qubits": 3, key: entries})
     return root
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bigint3", "amplitudes must be finite, got an integer too large for a float"),
+    ("string3", "density_matrix must be real numbers, got '1'"),
+    ("bool3", "amplitudes must be real numbers, got True"),
+])
+@pytest.mark.parametrize("command", [["measure"], ["sweep", "--bound", "ckw", "--baseline",
+                                                   "alpha-power", *_one_power("2")]])
+def test_cli_state_file_entries_are_json_numbers(name, message, command, state_files, capsys):
+    """Each file would hold |000> if its odd entry were read as a number: it is an input error."""
+    assert main([*command, "--state", str(state_files / f"{name}.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

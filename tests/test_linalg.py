@@ -53,7 +53,8 @@ def test_as_state_vector_checks():
     with pytest.raises(ValueError):
         as_state_vector(np.eye(2))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        message = f"state vector must be finite, got {bad + 0j}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             as_state_vector([bad, 0.0])
 
 
@@ -73,7 +74,7 @@ def test_as_density_matrix_validation():
         as_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
     with pytest.raises(ValueError):
         as_density_matrix(np.diag([1.1, -0.1]))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape("matrix must be finite, got (nan+0j)")):
         as_density_matrix(np.diag([np.nan, 1.0]))
     with pytest.raises(ValueError, match="matrix must be square"):
         as_density_matrix(np.ones((2, 4)))
@@ -152,7 +153,7 @@ def test_partial_trace_rejects_bad_keeps():
 def test_partial_trace_rejects_non_finite_entries(bad):
     rho = np.eye(8, dtype=complex) / 8
     rho[3, 5] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape(f"matrix must be finite, got {bad + 0j}")):
         partial_trace(rho, (0,))
 
 

@@ -312,7 +312,7 @@ def test_profile_is_invariant_under_a_local_unitary(state, data, angles):
 
 
 def test_profile_validates_only_at_the_boundary():
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape("state vector must be finite, got (nan+0j)")):
         profile(np.full(8, np.nan))
     # a norm inside the state-vector tolerance is accepted; no inner check
     # may apply that tolerance again to the squared norm
@@ -457,6 +457,18 @@ def test_upper_bound_degenerate_profiles():
     huge = evaluate(profile(psi), BoundKind(BoundId.UPPER_MEAN, -50.0))
     assert huge.applicable is False
     assert "overflow" in huge.note
+
+
+def test_upper_bound_notes_a_zero_focus_concurrence_beside_a_retained_pair():
+    # |000> + 1e-10 |110>: C(A|rest) = sqrt(2 (1 - tr rho_A^2)) rounds to 0.0, while the
+    # Wootters concurrence of (A, B_1) keeps 2e-10, so one pair is retained
+    psi = basis_state(3, "000") + 1e-10 * basis_state(3, "110")
+    prof = profile(psi / np.linalg.norm(psi))
+    assert prof.c_focus[0] == 0.0 and prof.c_pair[0].tolist() == [pytest.approx(2e-10), 0.0]
+    rep = evaluate(prof, BoundKind(BoundId.UPPER_MEAN, -1.0))
+    assert rep.note == "focus-rest concurrence is zero; negative power undefined"
+    assert rep.applicable is False and rep.dropped_pairs == (1,)
+    assert math.isnan(rep.lhs) and math.isnan(rep.rhs) and math.isnan(rep.slack)
 
 
 def test_lower_bounds_on_ghz():
@@ -746,10 +758,10 @@ def test_residual_sweep_validates_grid():
     # both bounds are bad at 1.5: the tightened one is named
     with pytest.raises(ValueError, match=re.escape("ckw requires alpha = 2, got 1.5")):
         residual_sweep(prof, BoundId.CKW, BoundId.TIGHT_TRIPARTITE, (2.0, 1.5))
-    with pytest.raises(ValueError, match="alpha must be finite, got nan"):
+    with pytest.raises(ValueError, match="alphas must be finite, got nan"):
         residual_sweep(prof, BoundId.TIGHT_TRIPARTITE, BoundId.ALPHA_POWER, (2.0, math.nan, 3.0))
     # -inf is below 0, so the negative-power families' range alone would allow it
-    with pytest.raises(ValueError, match="alpha must be finite, got -inf"):
+    with pytest.raises(ValueError, match="alphas must be finite, got -inf"):
         residual_sweep(prof, BoundId.UPPER_MEAN, BoundId.UPPER_SUM, (-1.0, -math.inf))
 
 

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
-from entmono.linalg import _as_hermitian, partial_trace, reduced_state
-from entmono.measures import (concurrence_pure, convex_roof_upper_bound, eof_pure,
+from entmono.linalg import (_as_hermitian, as_density_matrix, as_state_vector, partial_trace,
+                            reduced_state)
+from entmono.measures import (concurrence_pure, convex_roof_upper_bound,
+                              eof_from_squared_concurrence, eof_pure, eof_two_qubit_mixed,
                               wootters_concurrence)
-from entmono.monogamy import BoundKind, PartitionSpec
+from entmono.monogamy import (BoundKind, PartitionSpec, alpha_grid, campaign_kinds, profile,
+                              residual_sweep)
 from entmono.states import (
     SeededSampler,
     basis_state,
@@ -62,9 +65,12 @@ def test_generalized_schmidt_validation():
         generalized_schmidt((1.0, 0.2, 0.0, 0.0, 0.0))  # not normalized
     with pytest.raises(ValueError):
         generalized_schmidt((-0.5, 0.5, 0.5, 0.5, 0.0))
-    for lambdas, phi in (((math.nan,) * 5, 0.0), ((0.5, 0.5, 0.5, math.inf, 0.0), 0.0),
-                         ((0.5,) * 4 + (0.0,), math.inf), ((0.5,) * 4 + (0.0,), -math.nan)):
-        with pytest.raises(ValueError, match="non-finite"):
+    for lambdas, phi, message in (
+            ((math.nan,) * 5, 0.0, "Schmidt coefficients must be finite, got nan"),
+            ((0.5, 0.5, 0.5, math.inf, 0.0), 0.0, "Schmidt coefficients must be finite, got inf"),
+            ((0.5,) * 4 + (0.0,), math.inf, "phi must be finite, got inf"),
+            ((0.5,) * 4 + (0.0,), -math.nan, "phi must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generalized_schmidt(lambdas, phi)
 
 
@@ -113,6 +119,56 @@ _INTEGER_ARGUMENTS = [
 def test_indices_and_counts_are_whole_numbers(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_REALS = ("2", True, 3 + 0j, 10**400, math.nan, math.inf)
+_COMPLEXES = ("2", True, 10**400, math.nan, math.inf)  # a complex number is a valid entry
+_FLAT = (math.sqrt(0.2),) * 5
+_CORNER = [[0, 0, 0, 0]] * 3  # rows 1..3 of a 4x4 matrix whose corner entry is v
+# each public real or array argument, a call that passes v as that argument or as
+# one entry of it, and the values given to it
+_REAL_ARGUMENTS = [
+    ("alpha", lambda v: BoundKind("alpha-power", v), _REALS),
+    ("tolerance", lambda v: CampaignConfig(5, (3,), (_CKW,), 0, v), _REALS),
+    ("alpha min", lambda v: alpha_grid(v, 3.0, 0.5), _REALS),
+    ("alpha max", lambda v: alpha_grid(2.0, v, 0.5), _REALS),
+    ("alpha step", lambda v: alpha_grid(2.0, 3.0, v), _REALS),
+    ("alphas", lambda v: residual_sweep(profile(w_state(3)), "alpha-power", "ckw", [v]), _REALS),
+    ("alphas", lambda v: residual_sweep(profile(w_state(3)), "upper-mean", "upper-sum",
+                                        (-1.0, v)), _REALS),
+    ("grid", lambda v: campaign_kinds(["alpha-power"], [2.0, v], None, (3,)), _REALS),
+    ("Schmidt coefficients", lambda v: generalized_schmidt((v,) + _FLAT[1:]), _REALS),
+    ("phi", lambda v: generalized_schmidt(_FLAT, v), _REALS),
+    ("squared concurrence", lambda v: eof_from_squared_concurrence(v), _REALS),
+    ("squared concurrence", lambda v: eof_from_squared_concurrence([[0.5, v]]), _REALS),
+    ("state vector", lambda v: as_state_vector([v, 0.0]), _COMPLEXES),
+    ("state vector", lambda v: profile([v] + [0.0] * 7), _COMPLEXES),
+    ("state vector", lambda v: reduced_state(np.array([v, 0.0, 0.0, 0.0], object), (0,)),
+     _COMPLEXES),
+    ("state vector", lambda v: concurrence_pure([0.0, v, 0.0, 0.0], (0,)), _COMPLEXES),
+    ("matrix", lambda v: as_density_matrix([[v, 0.0], [0.0, 0.0]]), _COMPLEXES),
+    ("matrix", lambda v: partial_trace([[v, 0, 0, 0], *_CORNER], (0,)), _COMPLEXES),
+    ("matrix", lambda v: wootters_concurrence([[v, 0, 0, 0], *_CORNER]), _COMPLEXES),
+    ("matrix", lambda v: eof_two_qubit_mixed([[v, 0, 0, 0], *_CORNER]), _COMPLEXES),
+]
+
+
+def _real_rule_message(name: str, v) -> str:
+    """The pattern of the one message the real-number rule gives for v as argument name."""
+    start = f"^{re.escape(name)} must be"
+    if isinstance(v, (str, bool, complex)):
+        return rf"{start} (a real number|real numbers|numbers), got {re.escape(repr(v))}$"
+    if isinstance(v, int):
+        return rf"{start} finite, got an integer too large for a float$"
+    return rf"{start} finite, got \(?{v}(\+0j\))?$"
+
+
+@pytest.mark.parametrize("name, call, v", [
+    pytest.param(name, call, v, id=f"{name}-{'10**400' if v == 10**400 else repr(v)}")
+    for name, call, values in _REAL_ARGUMENTS for v in values])
+def test_reals_are_finite_numbers(name, call, v):
+    with pytest.raises(ValueError, match=_real_rule_message(name, v)):
+        call(v)
 
 
 def test_integral_values_of_other_types_are_the_same_index():

@@ -21,8 +21,10 @@ end on a short profile block, a negative seed, a tolerance of -NaN, zero
 samples, qubit counts 13 and 2, a split index --m of 0, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state, and ``measure`` and ``sweep`` on
-a file nested 100,000 arrays deep. It is a check of behaviour kept
-across a change, so a change that means to alter behaviour shows its
+each of three malformed files: one nested 100,000 arrays deep, and two
+that would hold |000> but for a first amplitude that is a 400-digit JSON
+integer in one and the string "1" in the other. It is a check of behaviour
+kept across a change, so a change that means to alter behaviour shows its
 commands here.
 """
 
@@ -80,14 +82,17 @@ def _state_files(folder: Path) -> list:
     return paths
 
 
-def _nested_file(folder: Path) -> Path:
-    """A file of arrays nested past the JSON parser's recursion limit."""
-    path = folder / "nested.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    return path
+def _malformed_files(folder: Path) -> list:
+    """Write the nested, 400-digit-integer and string-entry files; return their paths."""
+    paths = [folder / name for name in ("nested.json", "bigint3.json", "string3.json")]
+    paths[0].write_text("[" * 100_000 + "]" * 100_000)
+    for path, first in zip(paths[1:], (10**400, "1")):
+        path.write_text(json.dumps({"format_version": "1", "num_qubits": 3,
+                                    "amplitudes": [[first, 0]] + [[0, 0]] * 7}))
+    return paths
 
 
-def _commands(state_paths, nested: Path) -> list:
+def _commands(state_paths, malformed) -> list:
     commands = [["example", "--id", str(i)] for i in (1, 2, 3)]
     commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
                   "--alpha-step", "799"],
@@ -120,9 +125,14 @@ def _commands(state_paths, nested: Path) -> list:
             commands.append(["sweep", "--state", str(path), "--bound", bound,
                              "--baseline", baseline, "--alpha-min", lo, "--alpha-max", hi,
                              "--alpha-step", step])
+    nested, *numbers = malformed
     commands += [["measure", "--state", str(nested)],
                  ["sweep", "--state", str(nested), "--bound", "ckw", "--baseline", "alpha-power",
                   "--alpha-min", "2", "--alpha-max", "3", "--alpha-step", "0.5"]]
+    for path in numbers:  # a sweep that runs on |000>
+        commands += [["measure", "--state", str(path)],
+                     ["sweep", "--state", str(path), "--bound", "tight-ordered", "--baseline",
+                      "alpha-power", "--alpha-min", "2", "--alpha-max", "3", "--alpha-step", "0.5"]]
     return commands
 
 
@@ -166,7 +176,7 @@ def main(argv=None) -> int:
     parent, change = (str(Path(a).resolve()) for a in args)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
-        commands = _commands(_state_files(Path(folder)), _nested_file(Path(folder)))
+        commands = _commands(_state_files(Path(folder)), _malformed_files(Path(folder)))
         for command in commands:
             before, after = _run(parent, command), _run(change, command)
             if before != after:
