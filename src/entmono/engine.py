@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _finite, _whole
+from .linalg import MAX_QUBITS, _real, _whole
 from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
@@ -48,7 +48,7 @@ class CampaignConfig:
             raise ValueError(f"bound kinds must be BoundKind values, got {self.kinds!r}")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError("bound kinds must not repeat")
-        object.__setattr__(self, "tolerance", float(_finite("tolerance", self.tolerance)))
+        object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         for kind in self.kinds:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import DEFAULT_TOLERANCE, REPORT_FORMAT_VERSION, CampaignConfig, run_campaign
 from .engine import CampaignResult  # noqa: F401  (looked up here by perfbench's tracer)
-from .linalg import partial_trace
+from .linalg import _partial_trace
 from .measures import _eof, _wootters
 from .monogamy import (
     ALPHA_MIN_EOF,
@@ -119,37 +119,38 @@ def _cmd_verify(args) -> int:
 
 
 def _load_partitioned(args) -> tuple:
-    """The --state file, its partition from --focus and --order (validated), and _as_pure."""
-    loaded = load_state_file(args.state)
-    n = loaded.num_qubits
+    """The checked --state array, its validated partition, and its profile (None if mixed)."""
+    state = load_state_file(args.state)
+    n = len(state).bit_length() - 1  # the loader checked that len(state) == 2**n
     rest = args.order if args.order is not None else [q for q in range(n) if q != args.focus]
     part = PartitionSpec(args.focus, rest)
     part.validate(n)
-    return loaded, part, _as_pure(loaded)
+    pure = _as_pure(state)
+    return state, part, None if pure is None else profile_batch(pure[None], part)
 
 
 def _cmd_measure(args) -> int:
-    loaded, part, pure = _load_partitioned(args)
-    if pure is not None:
-        prof = profile_batch(pure[None], part)
+    state, part, prof = _load_partitioned(args)
+    n = len(part.rest) + 1
+    if prof is not None:
         focus = (prof.c_focus.tolist()[0], prof.e_focus.tolist()[0])
         c_pair, e_pair = prof.c_pair[0], prof.e_pair[0]
         tails = _known_tails(prof)
         note = ("tail concurrences of mixed reductions have no closed form"
                 if None in tails else "")
     else:
-        rho = loaded.density_matrix
-        # rho was checked on loading, so its pair reductions go to one stacked solve
-        c_pair = _wootters(np.stack([partial_trace(rho, (part.focus, b)) for b in part.rest]))
+        # the state was checked on loading, so its pairs go through the trusted kernels
+        c_pair = _wootters(np.stack([_partial_trace(state, (part.focus, b), n)
+                                     for b in part.rest]))
         e_pair = _eof(np.square(c_pair))
         focus = (None, None)
-        tails = [None] * (loaded.num_qubits - 2)
+        tails = [None] * (n - 2)
         note = "mixed input: only pairwise closed forms are available"
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
-        "num_qubits": loaded.num_qubits,
+        "num_qubits": n,
         "partition": {"focus": part.focus, "rest": list(part.rest)},
-        "pure": pure is not None,
+        "pure": prof is not None,
         "concurrence": {"focus_rest": focus[0], "pairs": c_pair.tolist(), "tails": tails},
         "eof": {"focus_rest": focus[1], "pairs": e_pair.tolist()},
         "note": note,
@@ -159,13 +160,12 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _, part, pure = _load_partitioned(args)
-    if pure is None:
+    _, part, prof = _load_partitioned(args)
+    if prof is None:
         raise ValueError("sweep needs a pure state (amplitudes or a rank-one density matrix)")
     grid = _grid_from_args(args)
     if grid is None:
         raise ValueError("--alpha-min, --alpha-max and --alpha-step are required")
-    prof = profile_batch(pure[None], part)
     sweep = residual_sweep(prof, BoundId(args.bound_kind), BoundId(args.baseline), grid, m=args.m)
     if sweep.applicable_tightened is not True:
         print(f"# warning: {sweep.tightened.value} applicability is "

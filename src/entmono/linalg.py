@@ -13,7 +13,8 @@ Conventions used throughout the package:
     passes; those must not be shared between workers.
   - Public functions validate their input once; the underscore kernels
     behind them trust their arguments and are called directly by code
-    that has already validated.
+    that has already validated: a state file's mixed state is checked
+    once on loading and then reduced by _partial_trace.
   - The kernels take a leading batch axis: a stack of S states is one
     (S, 2**n) array, and a public single-state function calls its kernel
     with a batch of one.
@@ -71,6 +72,14 @@ def _finite(name: str, value, dtype: type = float) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float by the real-number rule; a sequence or array is not one."""
+    arr = _finite(name, value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(arr)
 
 
 def num_qubits_of(dim: int) -> int:
@@ -138,14 +147,16 @@ def partial_trace(rho, keep) -> np.ndarray:
     n = num_qubits_of(m.shape[0])
     if m.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {m.shape} does not match {n} qubits")
-    kept = _kept_positions(keep, n)
-    traced = [q for q in range(n) if q not in kept]
+    return _partial_trace(m, _kept_positions(keep, n), n)
+
+
+def _partial_trace(m: np.ndarray, kept: tuple, n: int) -> np.ndarray:
+    """partial_trace of a trusted (2**n, 2**n) complex matrix on a valid keep set."""
     tensor = m.reshape([2] * (2 * n))
     # reverse order keeps the remaining axis indices valid after each trace
-    for q in sorted(traced, reverse=True):
+    for q in reversed([q for q in range(n) if q not in kept]):
         tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
-    dim = 2 ** len(kept)
-    return tensor.reshape(dim, dim)
+    return tensor.reshape(2 ** len(kept), -1)
 
 
 def reduced_state(psi, keep) -> np.ndarray:

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _finite, _reduce, _whole, as_state_vector, num_qubits_of
+from .linalg import MAX_QUBITS, _finite, _real, _reduce, _whole, as_state_vector, num_qubits_of
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 _COMPARISON_ATOL = 1e-12
@@ -152,7 +152,7 @@ class BoundKind:
 
     def __post_init__(self):
         object.__setattr__(self, "id", BoundId(self.id))
-        object.__setattr__(self, "alpha", float(_finite("alpha", self.alpha)))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha))
         family = _FAMILIES[self.id]
         family.check_power(self.id, self.alpha)
         if self.m is not None:
@@ -543,7 +543,7 @@ class AlphaSweep:
 
 def alpha_grid(lo: float, hi: float, step: float) -> tuple:
     """Inclusive grid lo, lo+step, ... up to hi (within float tolerance)."""
-    lo, hi, step = (float(_finite(f"alpha {name}", v))
+    lo, hi, step = (_real(f"alpha {name}", v)
                     for name, v in (("min", lo), ("max", hi), ("step", step)))
     if step <= 0.0:
         raise ValueError("alpha step must be positive")

@@ -3,24 +3,17 @@
 A file holds format_version "1", num_qubits and exactly one of amplitudes
 (2**n entries, MSB-first basis order) or density_matrix (4**n entries,
 row-major); each complex entry is a [real, imag] pair of JSON numbers. The loader
-checks everything once, the entries by the one real-number rule, linalg._finite.
+checks everything once, the entries by linalg._finite, and returns the checked
+array; a mixed one is then trusted, reduced by the kernel linalg._partial_trace.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import MAX_QUBITS, _finite, as_density_matrix, as_state_vector, num_qubits_of
 
 STATE_FORMAT_VERSION = "1"
-
-
-@dataclass(frozen=True)
-class LoadedState:
-    num_qubits: int
-    amplitudes: np.ndarray | None
-    density_matrix: np.ndarray | None
 
 
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
@@ -30,8 +23,8 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def load_state_file(path: str) -> LoadedState:
-    """Read and validate a JSON state file; its entries go through linalg._finite."""
+def load_state_file(path: str) -> np.ndarray:
+    """A state file's checked complex128 unit vector (amplitudes) or (2**n, 2**n) density."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -44,20 +37,17 @@ def load_state_file(path: str) -> LoadedState:
     n = data.get("num_qubits")
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"{path}: num_qubits must be an integer 1..{MAX_QUBITS}")
-    has_amp = "amplitudes" in data
-    has_rho = "density_matrix" in data
-    if has_amp == has_rho:
+    if ("amplitudes" in data) == ("density_matrix" in data):
         raise ValueError(f"{path}: exactly one of amplitudes or density_matrix is required")
-    if has_amp:
+    if "amplitudes" in data:
         vec = _pairs_to_complex(data["amplitudes"], "amplitudes")
         if vec.shape[0] != 2 ** n:
             raise ValueError(f"{path}: expected {2 ** n} amplitudes, got {vec.shape[0]}")
-        return LoadedState(n, as_state_vector(vec), None)
+        return as_state_vector(vec)
     flat = _pairs_to_complex(data["density_matrix"], "density_matrix")
     if flat.shape[0] != 4 ** n:
         raise ValueError(f"{path}: expected {4 ** n} row-major density entries")
-    rho = as_density_matrix(flat.reshape(2 ** n, 2 ** n))
-    return LoadedState(n, None, rho)
+    return as_density_matrix(flat.reshape(2 ** n, 2 ** n))
 
 
 def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
@@ -82,11 +72,9 @@ def _strict_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _as_pure(loaded: LoadedState) -> np.ndarray | None:
-    """A trusted unit vector: the checked amplitudes, or a rank-one density's eigenvector."""
-    if loaded.amplitudes is not None:
-        return loaded.amplitudes
-    lam, vec = np.linalg.eigh(loaded.density_matrix)
-    if lam[-1] >= 1.0 - 1e-10:
-        return vec[:, -1]
-    return None
+def _as_pure(state: np.ndarray) -> np.ndarray | None:
+    """A trusted unit vector: a loaded vector itself, or a rank-one density's eigenvector."""
+    if state.ndim == 1:
+        return state
+    lam, vec = np.linalg.eigh(state)
+    return vec[:, -1] if lam[-1] >= 1.0 - 1e-10 else None

@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _whole, reduced_state
+from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _real, _whole, reduced_state
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 
     independent of phi and l1.
     """
-    lam, phi = _finite("Schmidt coefficients", lambdas), float(_finite("phi", phi))
+    lam, phi = _finite("Schmidt coefficients", lambdas), _real("phi", phi)
     if lam.shape != (5,):
         raise ValueError("five Schmidt coefficients are required")
     if np.any(lam < -1e-12):

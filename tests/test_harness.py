@@ -57,9 +57,9 @@ def test_state_file_round_trip_amplitudes(tmp_path):
     path = str(tmp_path / "w3.json")
     save_state_file(path, amplitudes=w_state(3))
     loaded = load_state_file(path)
-    assert loaded.num_qubits == 3
-    assert loaded.density_matrix is None
-    np.testing.assert_allclose(loaded.amplitudes, w_state(3), atol=1e-15)
+    # an amplitudes file loads as its checked 1-D vector of 2**3 entries
+    assert loaded.shape == (8,) and loaded.dtype == np.complex128
+    np.testing.assert_allclose(loaded, w_state(3), atol=1e-15)
 
 
 def test_state_file_round_trip_density(tmp_path):
@@ -67,8 +67,9 @@ def test_state_file_round_trip_density(tmp_path):
     path = str(tmp_path / "rho.json")
     save_state_file(path, density_matrix=rho)
     loaded = load_state_file(path)
-    assert loaded.amplitudes is None
-    np.testing.assert_allclose(loaded.density_matrix, rho, atol=1e-15)
+    # a density_matrix file loads as its checked (2**2, 2**2) matrix
+    assert loaded.shape == (4, 4) and loaded.dtype == np.complex128
+    np.testing.assert_allclose(loaded, rho, atol=1e-15)
 
 
 def test_state_file_validation(tmp_path, capsys):
@@ -80,7 +81,7 @@ def test_state_file_validation(tmp_path, capsys):
 
     amps = [[a, 0.0] for a in np.sqrt([0.5, 0.5, 0.0, 0.0])]
     good = {"format_version": "1", "num_qubits": 2, "amplitudes": amps}
-    assert load_state_file(_write_json(tmp_path / "ok.json", good)).num_qubits == 2
+    assert load_state_file(_write_json(tmp_path / "ok.json", good)).shape == (2 ** 2,)
     neither = {"format_version": "1", "num_qubits": 2}
 
     for bad, message in (
@@ -493,13 +494,17 @@ def test_cli_measure_mixed(tmp_path):
 def test_cli_measure_mixed_pairs_equal_the_public_measure(n, tmp_path):
     state = tmp_path / "mixed.json"
     out = tmp_path / "m.json"
+    # the last qubit in focus, the rest in reverse: each pair's keep set is unsorted
+    reverse = ["--focus", str(n - 1), "--order", ",".join(map(str, range(n - 2, -1, -1)))]
     for seed in range(5):
         rho = random_mixed(n, 2 + seed % 3, SeededSampler(seed))
         save_state_file(str(state), density_matrix=rho)
-        assert main(["measure", "--state", str(state), "--out", str(out)]) == 0
-        pairs = json.loads(out.read_text())["concurrence"]["pairs"]
-        rho = load_state_file(str(state)).density_matrix
-        assert pairs == [wootters_concurrence(partial_trace(rho, (0, b))) for b in range(1, n)]
+        rho = load_state_file(str(state))
+        for partition, focus, rest in (([], 0, range(1, n)),
+                                       (reverse, n - 1, range(n - 2, -1, -1))):
+            assert main(["measure", "--state", str(state), *partition, "--out", str(out)]) == 0
+            pairs = json.loads(out.read_text())["concurrence"]["pairs"]
+            assert pairs == [wootters_concurrence(partial_trace(rho, (focus, b))) for b in rest]
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
@@ -656,6 +661,32 @@ def test_real_rule_runs_per_argument_not_per_point_or_sample(tmp_path, monkeypat
         assert names.count("squared concurrence") == len(blocks) and sum(blocks) == 3 * int(samples)
         counts.append(sorted(n for n in names if n != "squared concurrence"))
     assert counts[0] == counts[1] and "tolerance" in counts[0]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_mixed_measure_checks_its_state_only_on_loading(n, tmp_path, monkeypatch):
+    names, finite, loader = [], entmono.linalg._finite, harness.load_state_file
+
+    def counting(name, *args):
+        names.append(name)
+        return finite(name, *args)
+
+    def loading(path):
+        state = loader(path)
+        names.append("loaded")
+        return state
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("entmono.") and hasattr(module, "_finite"):
+            monkeypatch.setattr(module, "_finite", counting)
+    monkeypatch.setattr(harness, "load_state_file", loading)
+    state = tmp_path / "mixed.json"
+    save_state_file(str(state), density_matrix=random_mixed(n, 2, SeededSampler(n)))
+    names.clear()
+    assert main(["measure", "--state", str(state), "--out", str(tmp_path / "m.json")]) == 0
+    assert json.loads((tmp_path / "m.json").read_text())["pure"] is False
+    # the entries, then the matrix; its N - 1 pair reductions check nothing again
+    assert names == ["density_matrix", "matrix", "loaded"]
 
 
 def test_cli_verify_round_trip(tmp_path):

@@ -122,23 +122,24 @@ def test_indices_and_counts_are_whole_numbers(call, message):
 
 
 _REALS = ("2", True, 3 + 0j, 10**400, math.nan, math.inf)
+_SCALARS = _REALS + ([2.0],)  # a one-entry sequence is not a scalar argument
 _COMPLEXES = ("2", True, 10**400, math.nan, math.inf)  # a complex number is a valid entry
 _FLAT = (math.sqrt(0.2),) * 5
 _CORNER = [[0, 0, 0, 0]] * 3  # rows 1..3 of a 4x4 matrix whose corner entry is v
 # each public real or array argument, a call that passes v as that argument or as
 # one entry of it, and the values given to it
 _REAL_ARGUMENTS = [
-    ("alpha", lambda v: BoundKind("alpha-power", v), _REALS),
-    ("tolerance", lambda v: CampaignConfig(5, (3,), (_CKW,), 0, v), _REALS),
-    ("alpha min", lambda v: alpha_grid(v, 3.0, 0.5), _REALS),
-    ("alpha max", lambda v: alpha_grid(2.0, v, 0.5), _REALS),
-    ("alpha step", lambda v: alpha_grid(2.0, 3.0, v), _REALS),
+    ("alpha", lambda v: BoundKind("alpha-power", v), _SCALARS),
+    ("tolerance", lambda v: CampaignConfig(5, (3,), (_CKW,), 0, v), _SCALARS),
+    ("alpha min", lambda v: alpha_grid(v, 3.0, 0.5), _SCALARS),
+    ("alpha max", lambda v: alpha_grid(2.0, v, 0.5), _SCALARS),
+    ("alpha step", lambda v: alpha_grid(2.0, 3.0, v), _SCALARS),
     ("alphas", lambda v: residual_sweep(profile(w_state(3)), "alpha-power", "ckw", [v]), _REALS),
     ("alphas", lambda v: residual_sweep(profile(w_state(3)), "upper-mean", "upper-sum",
                                         (-1.0, v)), _REALS),
     ("grid", lambda v: campaign_kinds(["alpha-power"], [2.0, v], None, (3,)), _REALS),
     ("Schmidt coefficients", lambda v: generalized_schmidt((v,) + _FLAT[1:]), _REALS),
-    ("phi", lambda v: generalized_schmidt(_FLAT, v), _REALS),
+    ("phi", lambda v: generalized_schmidt(_FLAT, v), _SCALARS),
     ("squared concurrence", lambda v: eof_from_squared_concurrence(v), _REALS),
     ("squared concurrence", lambda v: eof_from_squared_concurrence([[0.5, v]]), _REALS),
     ("state vector", lambda v: as_state_vector([v, 0.0]), _COMPLEXES),
@@ -156,7 +157,7 @@ _REAL_ARGUMENTS = [
 def _real_rule_message(name: str, v) -> str:
     """The pattern of the one message the real-number rule gives for v as argument name."""
     start = f"^{re.escape(name)} must be"
-    if isinstance(v, (str, bool, complex)):
+    if isinstance(v, (str, bool, complex, list)):
         return rf"{start} (a real number|real numbers|numbers), got {re.escape(repr(v))}$"
     if isinstance(v, int):
         return rf"{start} finite, got an integer too large for a float$"

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 USERS = ("tests", "demos", "tools", "perfbench")
-RETURNED = {"CampaignRow", "ConditionCheck", "LoadedState"}
+RETURNED = {"CampaignRow", "ConditionCheck"}
 FORMATS = {"REPORT_FORMAT_VERSION", "STATE_FORMAT_VERSION", "DEFAULT_TOLERANCE"}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 

@@ -20,12 +20,15 @@ powers, two with a pinned split index --m, one whose 12-qubit samples
 end on a short profile block, a negative seed, a tolerance of -NaN, zero
 samples, qubit counts 13 and 2, a split index --m of 0, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
-n = 3, 4, 5, 8, 12 and on one mixed state, and ``measure`` and ``sweep`` on
-each of three malformed files: one nested 100,000 arrays deep, and two
-that would hold |000> but for a first amplitude that is a 400-digit JSON
-integer in one and the string "1" in the other. It is a check of behaviour
-kept across a change, so a change that means to alter behaviour shows its
-commands here.
+n = 3, 4, 5, 8, 12 and on one mixed state at n = 3, ``measure`` on a
+rank-2 mixed state at n = 5, ``measure`` and one ``sweep`` on a rank-one
+density matrix at n = 3, ``measure`` on the mixed and ``sweep`` on the
+Haar state at n = 3 with ``--focus 2 --order 1,0``, and ``measure`` and
+``sweep`` on each of three malformed files: one nested 100,000 arrays
+deep, and two that would hold |000> but for a first amplitude that is a
+400-digit JSON integer in one and the string "1" in the other. It is a
+check of behaviour kept across a change, so a change that means to alter
+behaviour shows its commands here.
 """
 
 import json
@@ -58,6 +61,13 @@ def _amplitude_file(path: Path, vec: np.ndarray) -> None:
     path.write_text(json.dumps(payload))
 
 
+def _density_file(path: Path, rho: np.ndarray) -> None:
+    n = int(len(rho)).bit_length() - 1
+    payload = {"format_version": "1", "num_qubits": n,
+               "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]}
+    path.write_text(json.dumps(payload))
+
+
 def _state_files(folder: Path) -> list:
     """Write the W, GHZ, Haar and mixed state files; return their paths."""
     rng = np.random.default_rng(20170211)
@@ -76,9 +86,19 @@ def _state_files(folder: Path) -> list:
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     paths.append(folder / "mixed3.json")
-    paths[-1].write_text(json.dumps({
-        "format_version": "1", "num_qubits": 3,
-        "density_matrix": [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]}))
+    _density_file(paths[-1], rho)
+    return paths
+
+
+def _density_files(folder: Path) -> list:
+    """Write a rank-2 mixed state at n = 5 and a rank-one density matrix at n = 3."""
+    rng = np.random.default_rng(20170212)
+    g = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    v /= np.linalg.norm(v)
+    paths = [folder / "mixed5.json", folder / "proj3.json"]
+    for path, rho in zip(paths, (g @ g.conj().T, np.outer(v, v.conj()))):
+        _density_file(path, rho / np.trace(rho).real)
     return paths
 
 
@@ -92,7 +112,7 @@ def _malformed_files(folder: Path) -> list:
     return paths
 
 
-def _commands(state_paths, malformed) -> list:
+def _commands(state_paths, densities, malformed) -> list:
     commands = [["example", "--id", str(i)] for i in (1, 2, 3)]
     commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
                   "--alpha-step", "799"],
@@ -125,6 +145,16 @@ def _commands(state_paths, malformed) -> list:
             commands.append(["sweep", "--state", str(path), "--bound", bound,
                              "--baseline", baseline, "--alpha-min", lo, "--alpha-max", hi,
                              "--alpha-step", step])
+    mixed5, proj3 = densities
+    commands += [["measure", "--state", str(mixed5)], ["measure", "--state", str(proj3)],
+                 ["sweep", "--state", str(proj3), "--bound", "tight-ordered", "--baseline",
+                  "alpha-power", "--alpha-min", "2", "--alpha-max", "3", "--alpha-step", "0.5"]]
+    by_name = {path.stem: path for path in state_paths}
+    partition = ["--focus", "2", "--order", "1,0"]
+    commands += [["measure", "--state", str(by_name["mixed3"]), *partition],
+                 ["sweep", "--state", str(by_name["haar3"]), "--bound", "tight-ordered",
+                  "--baseline", "alpha-power", "--alpha-min", "2", "--alpha-max", "3",
+                  "--alpha-step", "0.5", *partition]]
     nested, *numbers = malformed
     commands += [["measure", "--state", str(nested)],
                  ["sweep", "--state", str(nested), "--bound", "ckw", "--baseline", "alpha-power",
@@ -176,7 +206,9 @@ def main(argv=None) -> int:
     parent, change = (str(Path(a).resolve()) for a in args)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
-        commands = _commands(_state_files(Path(folder)), _malformed_files(Path(folder)))
+        folder_path = Path(folder)
+        commands = _commands(_state_files(folder_path), _density_files(folder_path),
+                             _malformed_files(folder_path))
         for command in commands:
             before, after = _run(parent, command), _run(change, command)
             if before != after:
