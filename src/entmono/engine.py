@@ -1,7 +1,7 @@
 """Monte Carlo campaign engine: sample Haar-random states, tally bound verdicts.
 
-A campaign report is reproducible byte for byte: every sample's state is
-derived from the root seed via a spawn key (campaign_state replays it), and
+A campaign report is reproducible byte for byte: sample i at n qubits is
+drawn by _draw on spawn key (n, i), which campaign_state replays, and
 the report holds only deterministic fields. Samples are profiled in blocks
 of BLOCK_BYTES of amplitudes, in buffers allocated once per qubit count, and
 evaluated BLOCK_BYTES // 16 at a time; neither size changes a report value.
@@ -15,7 +15,7 @@ from .linalg import MAX_QUBITS, _real, _whole
 from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
 from .statefile import _strict_json
-from .states import SeededSampler, _haar_into, haar_random_pure
+from .states import _haar_into, _rng
 
 REPORT_FORMAT_VERSION = "1"
 DEFAULT_TOLERANCE = 1e-10
@@ -106,7 +106,14 @@ def campaign_state(seed: int, qubits: int, index: int) -> np.ndarray:
     """The exact state a campaign drew for one sample; the replay hook."""
     seed, index = _whole("seed", seed, 0), _whole("index", index, 0)
     n = _whole("qubit count", qubits, 2, MAX_QUBITS)
-    return haar_random_pure(n, SeededSampler(seed, (n, index)))
+    return _draw(seed, n, index, np.empty((1, 2 ** n), dtype=complex), np.empty((2, 2 ** n)))[0]
+
+
+def _draw(seed: int, n: int, first: int, rows: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Fill rows with samples first, first + 1, ... of (seed, n), through a (2, 2**n) scratch."""
+    for i, row in enumerate(rows, first):
+        _haar_into(_rng(seed, (n, i)), row, normals)
+    return rows
 
 
 def _tally(row: CampaignRow, verdicts, start: int, tolerance: float) -> None:
@@ -141,9 +148,7 @@ def _profiles(seed: int, n: int, part: PartitionSpec, start: int, stop: int) -> 
     normals, scratch = np.empty((2, dim)), np.empty((2, stack.size), dtype=complex)
     blocks = []
     for first in range(start, stop, len(stack)):
-        rows = stack[:stop - first]  # the last block may be short
-        for i, row in enumerate(rows, first):
-            _haar_into(SeededSampler(seed, (n, i)), row, normals)  # what campaign_state replays
+        rows = _draw(seed, n, first, stack[:stop - first], normals)  # the last may be short
         blocks.append(profile_batch(rows, part, scratch))
     return ProfileBlock(*map(np.concatenate, zip(*blocks)))
 

@@ -8,6 +8,7 @@ array; a mixed one is then trusted, reduced by the kernel linalg._partial_trace.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -23,9 +24,16 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _path(path) -> str | os.PathLike:
+    """path, if it is a str or os.PathLike; open() takes an int as a descriptor and closes it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"state file path must be a str or os.PathLike, got {path!r}")
+    return path
+
+
 def load_state_file(path: str) -> np.ndarray:
     """A state file's checked complex128 unit vector (amplitudes) or (2**n, 2**n) density."""
-    with open(path, encoding="utf-8") as fh:
+    with open(_path(path), encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
@@ -63,7 +71,7 @@ def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
         "num_qubits": num_qubits_of(state.shape[0]),
         key: [[float(z.real), float(z.imag)] for z in state.reshape(-1)],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_path(path), "w", encoding="utf-8") as fh:
         fh.write(_strict_json(payload))
 
 

@@ -11,21 +11,32 @@ from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _real, _whole, reduced_stat
 class SeededSampler:
     """Reproducible PCG64 random source: same seed and key, same stream.
 
-    ``child`` derives an independent sampler for a subtask (for example one
-    sample index of a campaign) without consuming randomness from the
-    parent.
+    The constructor checks the seed and each spawn key (integers >= 0) once
+    and stores Python ints, so equal samplers draw equal streams. ``child``
+    derives an independent sampler for a subtask (for example one sample
+    index) without consuming randomness from the parent.
     """
 
     seed: int
     spawn_key: tuple = ()
 
+    def __post_init__(self):
+        if not isinstance(self.spawn_key, (tuple, list)):
+            raise ValueError(f"spawn key must be a tuple of integers, got {self.spawn_key!r}")
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
+        object.__setattr__(self, "spawn_key", tuple(
+            _whole("spawn key", k, 0) for k in self.spawn_key))
+
     def child(self, *key: int) -> "SeededSampler":
-        keys = tuple(_whole("spawn key", k, 0) for k in key)
-        return replace(self, spawn_key=self.spawn_key + keys)
+        return replace(self, spawn_key=self.spawn_key + key)
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        return np.random.Generator(np.random.PCG64(seq))
+        return _rng(self.seed, self.spawn_key)
+
+
+def _rng(seed: int, key: tuple) -> np.random.Generator:
+    """The PCG64 stream of a trusted seed and spawn key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def basis_state(num_qubits: int, bits) -> np.ndarray:
@@ -92,16 +103,18 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 def haar_random_pure(num_qubits: int, sampler: SeededSampler) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
     dim = 2 ** _whole("qubit count", num_qubits, 2, MAX_QUBITS)
-    return _haar_into(sampler, np.empty(dim, dtype=complex), np.empty((2, dim)))
+    if not isinstance(sampler, SeededSampler):
+        raise ValueError(f"sampler must be a SeededSampler, got {sampler!r}")
+    return _haar_into(sampler.rng(), np.empty(dim, dtype=complex), np.empty((2, dim)))
 
 
-def _haar_into(sampler: SeededSampler, out: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Draw haar_random_pure's state from sampler into out, a contiguous complex (d,) array.
+def _haar_into(rng: np.random.Generator, out: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Draw haar_random_pure's state from rng into out, a contiguous complex (d,) array.
 
     normals is a (2, d) float scratch: one draw of 2d normals gives the real
-    parts, then the imaginary parts, the same numbers as two draws of d.
+    parts, then the imaginary parts, the same numbers as two draws of d. A
+    campaign passes _rng(seed, (n, i)) from engine._draw, with no sampler.
     """
-    rng = sampler.rng()
     while True:
         rng.standard_normal(out=normals)
         out.real, out.imag = normals

@@ -24,8 +24,8 @@ from entmono.statefile import load_state_file, save_state_file
 from entmono.linalg import as_state_vector, partial_trace
 from entmono.measures import eof_from_squared_concurrence, wootters_concurrence
 from entmono.monogamy import BoundId, BoundKind, evaluate, profile
-from entmono.states import (SeededSampler, _haar_into, basis_state, ghz_state, haar_random_pure,
-                            random_mixed, w_state)
+from entmono.states import (SeededSampler, basis_state, ghz_state, haar_random_pure, random_mixed,
+                            w_state)
 
 
 DATA = Path(__file__).parent / "data"
@@ -115,11 +115,27 @@ def test_state_file_validation(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(ValueError, match="not valid JSON"):
         load_state_file(str(deep))
+    assert load_state_file(Path(_write_json(tmp_path / "ok.json", good))).shape == (2 ** 2,)
     capsys.readouterr()
     for command in (["measure"], ["sweep", "--bound", "ckw", "--baseline", "alpha-power"]):
         assert main([*command, "--state", str(deep)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_state_file_functions_take_paths_not_descriptors():
+    # open() takes an int as a file descriptor and closes it, so an int is not a path
+    r, w = os.pipe()
+    try:
+        for call, fd in ((lambda: save_state_file(w, amplitudes=w_state(3)), w),
+                         (lambda: load_state_file(r), r)):
+            with pytest.raises(ValueError, match=rf"^state file path must be a str or "
+                                                 rf"os.PathLike, got {fd}$"):
+                call()
+            os.fstat(fd)  # still open
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_campaign_config_validation():
@@ -759,16 +775,32 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
 def test_run_campaign_samples_only_counts_with_rows(monkeypatch):
     drawn = []
 
-    def recording_state(sampler, out, normals):
-        drawn.append(sampler.spawn_key[0])  # the spawn key is (qubits, index)
-        return _haar_into(sampler, out, normals)
+    def recording_draw(seed, n, first, rows, normals):
+        drawn.extend([n] * len(rows))  # rows holds samples first, first + 1, ... at n qubits
+        return draw(seed, n, first, rows, normals)
 
-    monkeypatch.setattr(engine, "_haar_into", recording_state)
+    draw = engine._draw
+    monkeypatch.setattr(engine, "_draw", recording_draw)
     kind = BoundKind(BoundId.TIGHT_TRIPARTITE, 2.0)
     result = run_campaign(CampaignConfig(5, (3, 4), (kind,), 0))
     assert drawn == [3] * 5
     assert {row.qubits for row in result.rows} == {3}
     assert result.stats == {"profiles": 5, "bound_evaluations": 5}
+
+
+def test_campaigns_build_no_sampler(monkeypatch):
+    kinds = (BoundKind(BoundId.CKW, 2.0), BoundKind(BoundId.TIGHT_SPLIT, 2.0))
+    config = CampaignConfig(9, (3, 12), kinds, 5)  # 12 qubits: blocks of 4, 4 and 1
+    want = run_campaign(config).to_json(), campaign_state(5, 3, 2)
+
+    def no_sampler(self, *args, **kwargs):
+        raise AssertionError("a SeededSampler was built")
+
+    # every draw takes its stream from the spawn key (n, i) without a sampler per sample
+    monkeypatch.setattr(SeededSampler, "__init__", no_sampler)
+    got = run_campaign(config).to_json(), campaign_state(5, 3, 2)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_cli_verify_pinned_split_index_keeps_fitting_counts(tmp_path):

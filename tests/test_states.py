@@ -102,6 +102,8 @@ _INTEGER_ARGUMENTS = [
     ("seed", lambda v: convex_roof_upper_bound(_MIXED, seed=v), _BAD),
     ("qubit count", lambda v: PartitionSpec.default(v), _BAD),
     ("qubit count", lambda v: PartitionSpec(0, (1, 2)).validate(v), _BAD),
+    ("seed", lambda v: SeededSampler(v), _BAD),
+    ("spawn key", lambda v: SeededSampler(0, (v,)), _BAD),
 ]
 
 
@@ -115,9 +117,25 @@ _INTEGER_ARGUMENTS = [
     (lambda: basis_state(3, 2.9), "basis index must be an integer, got 2.9"),
     (lambda: w_state(math.inf), "qubit count must be an integer, got inf"),
     (lambda: random_mixed(2, 0.5, SeededSampler(0)), "ancilla count must be an integer, got 0.5"),
+    (lambda: SeededSampler(-1), "seed must be >= 0, got -1"),
+    (lambda: SeededSampler(0, (-1,)), "spawn key must be >= 0, got -1"),
+    (lambda: SeededSampler(0).child(3, -1), "spawn key must be >= 0, got -1"),
+    (lambda: SeededSampler("3"), "seed must be an integer, got 3"),
+    (lambda: SeededSampler([1, 2]), "seed must be an integer, got [1, 2]"),
+    (lambda: SeededSampler(0, 5), "spawn key must be a tuple of integers, got 5"),
+    (lambda: SeededSampler(0, "12"), "spawn key must be a tuple of integers, got '12'"),
 ])
 def test_indices_and_counts_are_whole_numbers(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: haar_random_pure(3, 5),
+    lambda: random_mixed(2, 0, 5),
+])
+def test_public_draws_take_only_a_sampler(call):
+    with pytest.raises(ValueError, match=r"^sampler must be a SeededSampler, got 5$"):
         call()
 
 
@@ -225,6 +243,18 @@ def test_seeded_sampler_reproducibility():
     child = SeededSampler(42).child(3, 0).rng().standard_normal(8)
     assert not np.allclose(a, child)
     assert SeededSampler(42).child(3).child(0).spawn_key == (3, 0)
+
+
+def test_equal_samplers_draw_equal_streams():
+    want = SeededSampler(2, (3, 1))
+    for seed in (2.0, np.int64(2)):
+        # the constructor stores Python ints, so an integral seed of another type is seed 2
+        sampler = SeededSampler(seed, (np.uint8(3), 1.0))
+        assert sampler == want and hash(sampler) == hash(want)
+        assert type(sampler.seed) is int and all(type(k) is int for k in sampler.spawn_key)
+        np.testing.assert_array_equal(sampler.rng().standard_normal(8),
+                                      want.rng().standard_normal(8))
+        np.testing.assert_array_equal(haar_random_pure(3, sampler), campaign_state(2, 3, 1))
 
 
 def test_haar_random_pure_basics():

@@ -17,7 +17,9 @@ directory, with numpy and json alone, so neither tree writes its own input.
 The list covers the three bundled examples, the -800, -1e3 and -inf example
 grids, campaigns at several qubit counts and seeds, one over a grid of
 powers, two with a pinned split index --m, one whose 12-qubit samples
-end on a short profile block, a negative seed, a tolerance of -NaN, zero
+end on a short profile block, two at each of the multi-word seeds
+2^64 + 1 and 2^128 + 1 (one with three 12-qubit blocks, one of the
+default battery at n = 3), a negative seed, a tolerance of -NaN, zero
 samples, qubit counts 13 and 2, a split index --m of 0, and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state at n = 3, ``measure`` on a
@@ -134,6 +136,11 @@ def _commands(state_paths, densities, malformed) -> list:
     # 9 samples at 12 qubits are profiled in blocks of 4, 4 and 1
     commands.append(["verify", "--samples", "9", "--qubits", "12,7", "--bound", "ckw",
                      "--bound", "tight-split", "--seed", "5"])
+    # seeds of two and three 64-bit words take longer SeedSequence entropy paths
+    for seed in (str(2**64 + 1), str(2**128 + 1)):
+        commands += [["verify", "--samples", "9", "--qubits", "3,12", "--bound", "ckw",
+                      "--bound", "tight-split", "--seed", seed],
+                     ["verify", "--samples", "300", "--qubits", "3", "--seed", seed]]
     commands.append(["verify", "--samples", "5", "--seed", "-1"])
     commands.append(["verify", "--samples", "5", "--tolerance", "-NaN"])
     commands += [["verify", "--samples", "0"], ["verify", "--qubits", "13"],
