@@ -2,18 +2,19 @@
 
 A campaign report is reproducible byte for byte: sample i at n qubits is
 drawn by _draw on spawn key (n, i), which campaign_state replays, and
-the report holds only deterministic fields. Samples are profiled in blocks
-of BLOCK_BYTES of amplitudes, in buffers allocated once per qubit count, and
-evaluated BLOCK_BYTES // 16 at a time; neither size changes a report value.
+the report holds only deterministic fields. Samples are taken in runs of
+at most BLOCK_BYTES // 16: a run is profiled in blocks of BLOCK_BYTES of
+amplitudes, in buffers allocated once per run of samples, and then
+evaluated at once; neither size changes a report value.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _real, _whole
+from .linalg import MAX_QUBITS, _real, _whole, _wholes
 from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
-                       _STRICT_SLACK_FLOOR, _evaluate_block, profile_batch)
+                       _STRICT_SLACK_FLOOR, _evaluate, profile_batch)
 from .statefile import _strict_json
 from .states import _haar_into, _rng
 
@@ -37,8 +38,8 @@ class CampaignConfig:
         # the one check of a config, so run_campaign trusts it and equal configs report alike
         object.__setattr__(self, "samples", _whole("samples", self.samples, 1))
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
-        object.__setattr__(self, "qubit_counts", tuple(
-            _whole("qubit count", n, 3, MAX_QUBITS) for n in self.qubit_counts))
+        object.__setattr__(self, "qubit_counts", _wholes("qubit count", self.qubit_counts, 3,
+                                                         MAX_QUBITS))
         object.__setattr__(self, "kinds", tuple(self.kinds))
         if len(set(self.qubit_counts)) < len(self.qubit_counts):
             raise ValueError("qubit counts must not repeat")
@@ -157,19 +158,20 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
     rows = []
     for n in config.qubit_counts:
-        fitting = [(k, CampaignRow(k.id.value, k.alpha, k.m, n))
-                   for k in config.kinds if k.fits(n)]
+        fitting = [k for k in config.kinds if k.fits(n)]
         if not fitting:
             continue  # no kind is stated for n parties, so nothing to sample
         part = PartitionSpec.default(n)
+        counted = [CampaignRow(k.id.value, k.alpha, k.m, n) for k in fitting]
+        requests = [(k.id, k.m, (k.alpha,)) for k in fitting]
         # a profile row is a few floats per party, so evaluation takes as many
         # rows at once as a profile block takes amplitudes
         size = max(1, BLOCK_BYTES // 16)
         for start in range(0, config.samples, size):
             block = _profiles(config.seed, n, part, start, min(start + size, config.samples))
-            for (_, row), verdicts in zip(fitting, _evaluate_block(block, [k for k, _ in fitting])):
+            for row, verdicts in zip(counted, _evaluate(block, requests)):
                 _tally(row, verdicts, start, config.tolerance)
-        rows.extend(row for _, row in fitting)
+        rows.extend(counted)
     stats = {
         "profiles": config.samples * len({r.qubits for r in rows}),
         "bound_evaluations": sum(r.total for r in rows),

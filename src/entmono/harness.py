@@ -15,6 +15,7 @@ stdout or --out; summaries and wall-clock timings go to stderr.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import re
@@ -56,12 +57,14 @@ _EXAMPLE_SETUPS = {
 
 # ------------------------------------------------------------------- commands
 
+def _output(out: str | None):
+    """A context manager giving the --out file opened for writing, or stdout left open."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _grid_from_args(args) -> tuple | None:
@@ -102,19 +105,21 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
     )
-    started = time.perf_counter()
-    result = run_campaign(config)
-    elapsed = time.perf_counter() - started
-    for row in result.rows:
-        print(f"# {row.bound} alpha={row.alpha:g} qubits={row.qubits}: "
-              f"applicable={row.applicable} failed={row.failed} "
-              f"indeterminate={row.indeterminate} worst_slack="
-              f"{row.worst_slack if row.worst_slack is not None else 'n/a'}",
+    # --out is opened before sampling, so a path that cannot be written loses no campaign
+    with _output(args.out) as fh:
+        started = time.perf_counter()
+        result = run_campaign(config)
+        elapsed = time.perf_counter() - started
+        for row in result.rows:
+            print(f"# {row.bound} alpha={row.alpha:g} qubits={row.qubits}: "
+                  f"applicable={row.applicable} failed={row.failed} "
+                  f"indeterminate={row.indeterminate} worst_slack="
+                  f"{row.worst_slack if row.worst_slack is not None else 'n/a'}",
+                  file=sys.stderr)
+        print(f"# {result.stats['profiles']} profiles, "
+              f"{result.stats['bound_evaluations']} evaluations in {elapsed:.2f}s",
               file=sys.stderr)
-    print(f"# {result.stats['profiles']} profiles, "
-          f"{result.stats['bound_evaluations']} evaluations in {elapsed:.2f}s",
-          file=sys.stderr)
-    _write_text(args.out, result.to_json())
+        fh.write(result.to_json())
     return 0 if result.all_passed else 1
 
 

@@ -48,6 +48,18 @@ def _whole(name: str, value, lo: int | None = None, hi: int | None = None) -> in
     return n
 
 
+def _wholes(name: str, values, lo: int | None = None, hi: int | None = None) -> tuple:
+    """values as a tuple of ints, each by _whole; the integer rule's sequence form.
+
+    values must be a list, tuple, range or 1-D array; anything else, such as
+    a scalar or a string, is a ValueError naming the argument.
+    """
+    if not (isinstance(values, (list, tuple, range))
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
+    return tuple(_whole(name, v, lo, hi) for v in values)
+
+
 def _finite(name: str, value, dtype: type = float) -> np.ndarray:
     """value as a float64 array, or complex128 for dtype complex; the one real-number rule.
 
@@ -84,7 +96,8 @@ def _real(name: str, value) -> float:
 
 def num_qubits_of(dim: int) -> int:
     """Qubit count for Hilbert-space dimension ``dim``, which must be 2**n."""
-    n = int(dim).bit_length() - 1
+    dim = _whole("dimension", dim)
+    n = dim.bit_length() - 1
     if dim < 2 or dim != 2 ** n:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
     if n > MAX_QUBITS:
@@ -127,7 +140,7 @@ def as_density_matrix(rho) -> np.ndarray:
 
 def _kept_positions(keep, num_qubits: int) -> tuple:
     """Sorted keep set, checked to be a nonempty proper subset of the register."""
-    kept = tuple(sorted(_whole("qubit position", p, 0, num_qubits - 1) for p in keep))
+    kept = tuple(sorted(_wholes("qubit position", keep, 0, num_qubits - 1)))
     if len(set(kept)) != len(kept):
         raise ValueError("qubit positions must be distinct")
     if not kept:

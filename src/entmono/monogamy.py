@@ -37,14 +37,15 @@ mixed reduction with two or more remaining parties), True otherwise. A
 power that overflows (an lhs or rhs that is not finite) makes the point
 not applicable, with a NaN slack, in every family.
 
-One kernel, _evaluate_batch, evaluates every bound: one family at one
-split index on a ProfileBlock of S profiles and A powers, returning
-(S, A) arrays of lhs, rhs, slack, applicability and the strict flag.
-Ordering conditions depend on the shape and split index only, so _decide
-settles them once per block as (S, N-2) verdicts that every power, and
-every family of the shape, shares. residual_sweep runs the kernel once
-per bound over its whole grid, the campaign once per kind over a block of
-samples, and evaluate on the one-row ProfileBlock that profile returns.
+One entry point, _evaluate, evaluates every bound: on a ProfileBlock of S
+profiles it takes requests (bound, m, A powers) and yields, one request at
+a time, (S, A) arrays of lhs, rhs, slack, applicability and the strict
+flag. Ordering conditions depend on the shape and split index only, so
+_decide settles them once per block and key as (S, N-2) verdicts that
+every power, and every later request of that key, shares. residual_sweep
+makes one call with both of its bounds over its whole grid, the campaign
+one call per block of samples with a request per kind, and evaluate one
+call with one request on the one-row ProfileBlock that profile returns.
 Each row and each power is bit-identical to a batch of one at that power.
 To keep that rule, _powers raises the lhs and every pair term of an
 evaluation with one np.power call on full-size contiguous operands: ** has
@@ -59,7 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _finite, _real, _reduce, _whole, as_state_vector, num_qubits_of
+from .linalg import (MAX_QUBITS, _finite, _real, _reduce, _whole, _wholes, as_state_vector,
+                     num_qubits_of)
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 _COMPARISON_ATOL = 1e-12
@@ -212,7 +214,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "focus", _whole("focus", self.focus))
-        object.__setattr__(self, "rest", tuple(_whole("rest", q) for q in self.rest))
+        object.__setattr__(self, "rest", _wholes("rest", self.rest))
 
     @classmethod
     def default(cls, num_qubits: int) -> "PartitionSpec":
@@ -285,6 +287,8 @@ def profile(psi, partition: PartitionSpec | None = None) -> ProfileBlock:
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
     part = partition if partition is not None else PartitionSpec.default(n)
+    if not isinstance(part, PartitionSpec):
+        raise ValueError(f"partition must be a PartitionSpec, got {part!r}")
     part.validate(n)
     return profile_batch(vec[None], part)
 
@@ -406,29 +410,40 @@ class _Verdicts(NamedTuple):
     decision: _Decision
 
 
-def _evaluate_batch(block: ProfileBlock, family: _Family, decision: _Decision,
-                    alphas) -> _Verdicts:
-    """Evaluate one family, with its conditions decided, on a block at each power.
+def _evaluate(block: ProfileBlock, requests):
+    """Yield the verdicts of each request (bound, m, alphas) on a block of profiles.
 
-    A point whose lhs or rhs is not finite (a power overflowed) is not
-    applicable and has a NaN slack. Each row is bit-identical to a batch of
-    one; the module docstring gives the rule that keeps it so.
+    The one evaluation entry point. Each bound must fit the block's party
+    count, and m be a split index it takes or None. Requests of one shape
+    and split index share one decision of their ordering conditions, made
+    at the first of them. Only one request's verdicts are made at a time,
+    so a long block holds no more. A point whose lhs or rhs is not
+    finite (a power overflowed) is not applicable and has a NaN slack. Each
+    row is bit-identical to a batch of one; the module docstring gives the
+    rule that keeps it so.
     """
-    upper = family.shape in ("mean", "sum")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
-        if upper:
-            lhs, rhs, dropped = _upper_sides(block, family.shape == "mean", alphas)
-        else:
-            lhs, rhs = _lower_sides(block, family, decision, alphas)
-            dropped = np.zeros(block.c_pair.shape, bool)
-        slack = rhs - lhs if upper else lhs - rhs
-    # both sides are >= 0, so the difference is finite exactly when both sides are
-    ok = np.isfinite(slack)
-    slack = np.where(ok, slack, np.nan)
-    strict = (ok & (block.c_pair.min(axis=1) > _STRICT_PAIR_FLOOR)[:, None] if upper
-              else np.zeros_like(ok))
-    return _Verdicts(lhs, rhs, slack, np.where(ok, decision.applicable[:, None], FAILS),
-                    strict, dropped, decision)
+    decisions = {}
+    for bound, m, alphas in requests:
+        family = _FAMILIES[bound]
+        key = (family.shape, m)
+        if key not in decisions:
+            decisions[key] = _decide(block.c_pair, *key)
+        decision = decisions[key]
+        upper = family.shape in ("mean", "sum")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+            if upper:
+                lhs, rhs, dropped = _upper_sides(block, family.shape == "mean", alphas)
+            else:
+                lhs, rhs = _lower_sides(block, family, decision, alphas)
+                dropped = np.zeros(block.c_pair.shape, bool)
+            slack = rhs - lhs if upper else lhs - rhs
+        # both sides are >= 0, so the difference is finite exactly when both sides are
+        ok = np.isfinite(slack)
+        slack = np.where(ok, slack, np.nan)
+        strict = (ok & (block.c_pair.min(axis=1) > _STRICT_PAIR_FLOOR)[:, None] if upper
+                  else np.zeros_like(ok))
+        yield _Verdicts(lhs, rhs, slack, np.where(ok, decision.applicable[:, None], FAILS),
+                        strict, dropped, decision)
 
 
 def _powers(focus: np.ndarray, pairs: np.ndarray, alphas) -> np.ndarray:
@@ -472,27 +487,10 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
     return lhs, rhs, dropped
 
 
-def _evaluate_block(block: ProfileBlock, kinds):
-    """Yield the verdicts of each kind at its one power on a block of profiles.
-
-    Every kind must fit the block's party count. Kinds of one shape and
-    split index share one decision of their ordering conditions. Only one
-    kind's verdicts are made at a time, so a long block holds no more.
-    """
-    decisions = {}
-    for kind in kinds:
-        family = _FAMILIES[kind.id]
-        key = (family.shape, kind.m)
-        if key not in decisions:
-            decisions[key] = _decide(block.c_pair, *key)
-        yield _evaluate_batch(block, family, decisions[key], (kind.alpha,))
-
-
 def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
     """Evaluate one bound against a one-row profile block, reporting slack and verdict."""
     family = _family_on(kind, block)
-    v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m),
-                        (kind.alpha,))
+    v, = _evaluate(block, [(kind.id, kind.m, (kind.alpha,))])
     lhs, rhs, slack = float(v.lhs[0, 0]), float(v.rhs[0, 0]), float(v.slack[0, 0])
     applicable = _VERDICT[v.applicable[0, 0]]
     note = "power overflow; bound not verifiable numerically" if math.isnan(slack) else ""
@@ -561,7 +559,8 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     """Evaluate a tightened/baseline bound pair across an alpha grid on a one-row block.
 
     Every grid point must be valid for both bound families. Ordering
-    conditions do not involve alpha and are decided once per bound; an
+    conditions do not involve alpha and are decided once for the grid, and
+    once for both bounds when they share a shape and split index; an
     overflowing power makes a bound's applicability vary along the grid,
     and its residual NaN there.
     """
@@ -578,8 +577,7 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
         for kind, family in zip(kinds, families):
             family.check_power(kind.id, float(points[bad.argmax()]))
     curves, applicable = [], []
-    for kind, family in zip(kinds, families):
-        v = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, kind.m), points)
+    for v in _evaluate(block, [(kind.id, kind.m, points) for kind in kinds]):
         ok = ~np.isnan(v.slack[0])
         y = np.full(len(points), np.nan)  # NaN where the point is not verifiable
         y[ok] = v.lhs[0, ok] - v.rhs[0, ok]  # not -slack, which turns +0.0 into -0.0

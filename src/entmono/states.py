@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _real, _whole, reduced_state
+from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _real, _whole, _wholes, reduced_state
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,8 @@ class SeededSampler:
     spawn_key: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.spawn_key, (tuple, list)):
-            raise ValueError(f"spawn key must be a tuple of integers, got {self.spawn_key!r}")
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
-        object.__setattr__(self, "spawn_key", tuple(
-            _whole("spawn key", k, 0) for k in self.spawn_key))
+        object.__setattr__(self, "spawn_key", _wholes("spawn key", self.spawn_key, 0))
 
     def child(self, *key: int) -> "SeededSampler":
         return replace(self, spawn_key=self.spawn_key + key)

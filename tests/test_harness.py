@@ -196,6 +196,58 @@ def test_run_campaign_counters_and_replay():
     assert rep.slack == ckw.worst_slack
 
 
+# a kind of every family shape at one power, the split kinds with a free split index m
+_REPLAYED_KINDS = (BoundKind(BoundId.CKW, 2.0), BoundKind(BoundId.TIGHT_ORDERED, 2.5),
+                   BoundKind(BoundId.TIGHT_SPLIT, 2.5), BoundKind(BoundId.UPPER_MEAN, -1.0),
+                   BoundKind(BoundId.UPPER_SUM, -0.5), BoundKind(BoundId.EOF_TIGHT_ORDERED, 2.0),
+                   BoundKind(BoundId.EOF_TIGHT_SPLIT, 1.5))
+
+
+def test_run_campaign_rows_replay_through_evaluate():
+    # every verdict count and the worst sample of each row, rebuilt one sample at a
+    # time from campaign_state and evaluate; in the campaign the two ordered families
+    # share one decision, and so do the two split families
+    config = CampaignConfig(12, (3, 4, 12), _REPLAYED_KINDS, 11)
+    result = run_campaign(config)
+    replayed = 0
+    for row in result.rows:
+        kind = BoundKind(row.bound, row.alpha, row.m)
+        reports = [evaluate(profile(campaign_state(config.seed, row.qubits, i)), kind)
+                   for i in range(config.samples)]
+        verdicts = [rep.applicable for rep in reports]
+        assert (row.applicable, row.indeterminate, row.not_applicable) == (
+            verdicts.count(True), verdicts.count(None), verdicts.count(False)), row
+        held = [(rep.slack, i) for i, rep in enumerate(reports) if rep.applicable]
+        assert row.worst_sample == (min(held)[1] if held else None), row
+        if held:
+            rep = evaluate(profile(campaign_state(config.seed, row.qubits, row.worst_sample)),
+                           kind)
+            assert rep.slack == row.worst_slack, row
+            replayed += 1
+    # no ordered or split row holds at N >= 4 (ROADMAP item 1), nor an upper one at 12
+    assert result.all_passed and len(result.rows) == 19 and replayed == 9
+
+
+def test_run_campaign_decides_once_per_shape_and_split_index(monkeypatch):
+    decided, decide = [], monogamy._decide
+
+    def recording(c_pair, shape, m):
+        decided.append((shape, m))
+        return decide(c_pair, shape, m)
+
+    monkeypatch.setattr(monogamy, "_decide", recording)
+    kinds = (BoundKind(BoundId.CKW, 2.0),
+             *[BoundKind(BoundId.TIGHT_SPLIT, a) for a in (2.0, 2.5, 3.0)],
+             *[BoundKind(BoundId.TIGHT_ORDERED, a) for a in (2.0, 2.5, 3.0)])
+    want = run_campaign(CampaignConfig(10, (4,), kinds, 2)).to_json()
+    assert decided == [("unit", None), ("split", None), ("ordered", None)]
+    # evaluation runs of 4 samples: three runs, each deciding each key once
+    decided.clear()
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 4 * 16)
+    assert run_campaign(CampaignConfig(10, (4,), kinds, 2)).to_json() == want
+    assert decided == [("unit", None), ("split", None), ("ordered", None)] * 3
+
+
 def test_run_campaign_json_is_deterministic():
     config = CampaignConfig(30, (3,), (BoundKind(BoundId.CKW, 2.0),), 5)
     assert run_campaign(config).to_json() == run_campaign(config).to_json()
@@ -770,6 +822,23 @@ def test_cli_verify_rejects_input_before_sampling(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_cli_verify_rejects_an_unwritable_out_before_sampling(tmp_path, monkeypatch, capsys):
+    argv = ["verify", "--samples", "2", "--qubits", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r.json").read_text() == printed  # a writable --out gets stdout's bytes
+
+    def no_sampling(*args):
+        raise AssertionError("a sample was drawn before --out was rejected")
+
+    monkeypatch.setattr(engine, "_haar_into", no_sampling)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path)]) == 2  # a directory
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_run_campaign_samples_only_counts_with_rows(monkeypatch):

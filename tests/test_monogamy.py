@@ -29,7 +29,7 @@ from entmono.monogamy import (
     ProfileBlock,
     _coefficient_table,
     _decide,
-    _evaluate_batch,
+    _evaluate,
     campaign_kinds,
     evaluate,
     profile,
@@ -154,15 +154,15 @@ def test_evaluate_batch_rows_equal_batches_of_one(n):
                   else (lo, 2.0, 2.37, 5.0))
         pinned = range(1, n - 2) if family.shape == "split" else ()
         for m in (None, *pinned):
-            whole = _evaluate_batch(block, family, _decide(block.c_pair, family.shape, m), alphas)
+            whole, = _evaluate(block, [(bound, m, alphas)])
             for s in range(len(states)):
                 row = ProfileBlock(*(a[s:s + 1] for a in block))
-                decided = _decide(row.c_pair, family.shape, m)
                 for j, alpha in enumerate(alphas):
-                    one = _evaluate_batch(row, family, decided, (alpha,))
+                    one, = _evaluate(row, [(bound, m, (alpha,))])
                     for got, want in zip(whole[:5], one[:5]):  # lhs .. strict
                         assert np.array_equal(got[s, j], want[0, 0], equal_nan=True), \
                             (bound, m, s, alpha)
+                decided = one.decision
                 assert np.array_equal(whole.dropped[s], one.dropped[0])
                 assert np.array_equal(whole.decision.verdicts[s], decided.verdicts[0])
                 assert whole.decision.applicable[s] == decided.applicable[0]
@@ -249,11 +249,10 @@ def test_evaluate_batch_equals_scalar_arithmetic_per_point(n):
         pinned = range(1, n - 2) if family.shape == "split" else ()
         for m in (None, *pinned):
             for rows in (block, *ones):
-                decision = _decide(rows.c_pair, family.shape, m)
-                v = _evaluate_batch(rows, family, decision, alphas)
+                v, = _evaluate(rows, [(bound, m, alphas)])
                 with np.errstate(over="ignore", invalid="ignore"):
                     for j, alpha in enumerate(alphas):
-                        lhs, rhs, slack = _oracle(rows, family, decision, alpha).T
+                        lhs, rhs, slack = _oracle(rows, family, v.decision, alpha).T
                         lhs_rhs = np.maximum(np.abs(lhs), np.abs(rhs))
                         for got, want, ulps, scale in ((v.lhs, lhs, 1, np.abs(lhs)),
                                                        (v.rhs, rhs, 2, np.abs(rhs)),
@@ -631,10 +630,28 @@ def test_split_index_search_on_decided_tails(monkeypatch):
     block = ProfileBlock(np.full(4, 0.9), _SEARCH_PAIRS, np.full(4, 0.8), _SEARCH_PAIRS / 2)
     for tight, tight_split in ((BoundId.TIGHT_ORDERED, BoundId.TIGHT_SPLIT),
                                (BoundId.EOF_TIGHT_ORDERED, BoundId.EOF_TIGHT_SPLIT)):
-        got = _evaluate_batch(block, _FAMILIES[tight], ordered, (2.0, 2.5, 3.0))
-        want = _evaluate_batch(block, _FAMILIES[tight_split], split, (2.0, 2.5, 3.0))
+        got, want = _evaluate(block, [(tight, None, (2.0, 2.5, 3.0)),
+                                      (tight_split, 4, (2.0, 2.5, 3.0))])
         for a, b in zip(got[:6], want[:6]):  # lhs .. dropped
             assert np.array_equal(a, b)
+
+
+def test_residual_sweep_decides_a_shared_shape_once(monkeypatch):
+    decided, decide = [], monogamy._decide
+
+    def recording(c_pair, shape, m):
+        decided.append((shape, m))
+        return decide(c_pair, shape, m)
+
+    prof = profile(w_class_state(5, 2))
+    grid = (2.0, 2.5, 3.0, 4.0)
+    want = residual_sweep(prof, BoundId.TIGHT_SPLIT, BoundId.EOF_TIGHT_SPLIT, grid)
+    monkeypatch.setattr(monogamy, "_decide", recording)
+    assert residual_sweep(prof, BoundId.TIGHT_SPLIT, BoundId.EOF_TIGHT_SPLIT, grid) == want
+    assert decided == [("split", None)]
+    decided.clear()
+    residual_sweep(prof, BoundId.TIGHT_ORDERED, BoundId.ALPHA_POWER, grid)
+    assert decided == [("ordered", None), ("unit", None)]
 
 
 def test_evaluate_reports_each_condition_relation():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
-from entmono.linalg import (_as_hermitian, as_density_matrix, as_state_vector, partial_trace,
-                            reduced_state)
+from entmono.linalg import (_as_hermitian, as_density_matrix, as_state_vector, num_qubits_of,
+                            partial_trace, reduced_state)
 from entmono.measures import (concurrence_pure, convex_roof_upper_bound,
                               eof_from_squared_concurrence, eof_pure, eof_two_qubit_mixed,
                               wootters_concurrence)
@@ -104,6 +104,17 @@ _INTEGER_ARGUMENTS = [
     ("qubit count", lambda v: PartitionSpec(0, (1, 2)).validate(v), _BAD),
     ("seed", lambda v: SeededSampler(v), _BAD),
     ("spawn key", lambda v: SeededSampler(0, (v,)), _BAD),
+    ("dimension", num_qubits_of, _BAD + ("8",)),
+]
+# each public integer-sequence argument but the spawn key, whose two rows are listed
+# below, and a call that passes v as that sequence; a scalar and a string are not ones
+_SEQUENCE_ARGUMENTS = [
+    ("qubit position", lambda v: reduced_state(w_state(3), v)),
+    ("qubit position", lambda v: partial_trace(np.eye(8) / 8, v)),
+    ("qubit position", lambda v: concurrence_pure(w_state(3), v)),
+    ("qubit position", lambda v: eof_pure(w_state(3), v)),
+    ("rest", lambda v: PartitionSpec(0, v)),
+    ("qubit count", lambda v: CampaignConfig(5, v, (_CKW,), 0)),
 ]
 
 
@@ -122,8 +133,12 @@ _INTEGER_ARGUMENTS = [
     (lambda: SeededSampler(0).child(3, -1), "spawn key must be >= 0, got -1"),
     (lambda: SeededSampler("3"), "seed must be an integer, got 3"),
     (lambda: SeededSampler([1, 2]), "seed must be an integer, got [1, 2]"),
-    (lambda: SeededSampler(0, 5), "spawn key must be a tuple of integers, got 5"),
-    (lambda: SeededSampler(0, "12"), "spawn key must be a tuple of integers, got '12'"),
+    (lambda: SeededSampler(0, 5), "spawn key must be a sequence of integers, got 5"),
+    (lambda: SeededSampler(0, "12"), "spawn key must be a sequence of integers, got '12'"),
+    (lambda: profile(w_state(3), (0, (1, 2))),
+     "partition must be a PartitionSpec, got (0, (1, 2))"),
+    *[(functools.partial(call, v), f"{name} must be a sequence of integers, got {v!r}")
+      for name, call in _SEQUENCE_ARGUMENTS for v in (0, "12")],
 ])
 def test_indices_and_counts_are_whole_numbers(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -195,6 +210,14 @@ def test_integral_values_of_other_types_are_the_same_index():
     np.testing.assert_array_equal(basis_state(3.0, np.int32(2)), basis_state(3, 2))
     assert PartitionSpec(np.int64(0), (1.0, 2)) == PartitionSpec(0, (1, 2))
     assert BoundKind("tight-split", 2.0, np.int64(1)) == BoundKind("tight-split", 2.0, 1)
+    # a list, a range or a 1-D array of integers is the tuple of its entries
+    assert PartitionSpec(0, [1, 2]) == PartitionSpec(0, range(1, 3)) == PartitionSpec(
+        0, np.array([1, 2]))
+    assert (SeededSampler(0, np.array([3, 1])) == SeededSampler(0, range(3, 0, -2))
+            == SeededSampler(0, [3, 1]) == SeededSampler(0, (3, 1)))
+    np.testing.assert_array_equal(reduced_state(w_state(3), np.array([2, 0])),
+                                  reduced_state(w_state(3), [0, 2]))
+    assert CampaignConfig(5, range(3, 5), (_CKW,), 0) == CampaignConfig(5, (3, 4), (_CKW,), 0)
     config = CampaignConfig(20.0, (np.int64(3), 4.0), (_CKW,), np.uint8(7))
     assert (run_campaign(config).to_json()
             == run_campaign(CampaignConfig(20, (3, 4), (_CKW,), 7)).to_json())

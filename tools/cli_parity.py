@@ -20,7 +20,8 @@ powers, two with a pinned split index --m, one whose 12-qubit samples
 end on a short profile block, two at each of the multi-word seeds
 2^64 + 1 and 2^128 + 1 (one with three 12-qubit blocks, one of the
 default battery at n = 3), a negative seed, a tolerance of -NaN, zero
-samples, qubit counts 13 and 2, a split index --m of 0, and
+samples, qubit counts 13 and 2, a split index --m of 0, an --out that
+is a directory (``verify --samples 2 --qubits 3``), and
 ``measure`` plus four ``sweep`` pairs on W, GHZ and Haar states at
 n = 3, 4, 5, 8, 12 and on one mixed state at n = 3, ``measure`` on a
 rank-2 mixed state at n = 5, ``measure`` and one ``sweep`` on a rank-one
@@ -114,7 +115,7 @@ def _malformed_files(folder: Path) -> list:
     return paths
 
 
-def _commands(state_paths, densities, malformed) -> list:
+def _commands(state_paths, densities, malformed, out_dir) -> list:
     commands = [["example", "--id", str(i)] for i in (1, 2, 3)]
     commands += [["example", "--id", "2", "--alpha-min", "-800", "--alpha-max", "-1",
                   "--alpha-step", "799"],
@@ -145,7 +146,8 @@ def _commands(state_paths, densities, malformed) -> list:
     commands.append(["verify", "--samples", "5", "--tolerance", "-NaN"])
     commands += [["verify", "--samples", "0"], ["verify", "--qubits", "13"],
                  ["verify", "--qubits", "2"],
-                 ["verify", "--qubits", "4", "--bound", "tight-split", "--m", "0"]]
+                 ["verify", "--qubits", "4", "--bound", "tight-split", "--m", "0"],
+                 ["verify", "--samples", "2", "--qubits", "3", "--out", str(out_dir)]]
     for path in state_paths:
         commands.append(["measure", "--state", str(path)])
         for bound, baseline, lo, hi, step in SWEEPS:
@@ -214,8 +216,10 @@ def main(argv=None) -> int:
     differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
         folder_path = Path(folder)
+        out_dir = folder_path / "out-dir"
+        out_dir.mkdir()
         commands = _commands(_state_files(folder_path), _density_files(folder_path),
-                             _malformed_files(folder_path))
+                             _malformed_files(folder_path), out_dir)
         for command in commands:
             before, after = _run(parent, command), _run(change, command)
             if before != after:
