@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _real, _whole, _wholes
+from .linalg import MAX_QUBITS, _instance, _real, _sequence, _whole, _wholes
 from .monogamy import (FAILS, HOLDS, UNDECIDED, BoundKind, PartitionSpec, ProfileBlock,
                        _STRICT_SLACK_FLOOR, _evaluate, profile_batch)
 from .statefile import _strict_json
@@ -40,13 +40,13 @@ class CampaignConfig:
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
         object.__setattr__(self, "qubit_counts", _wholes("qubit count", self.qubit_counts, 3,
                                                          MAX_QUBITS))
-        object.__setattr__(self, "kinds", tuple(self.kinds))
+        kinds = _sequence("bound kinds", self.kinds, "BoundKind values")
+        object.__setattr__(self, "kinds", tuple(_instance("bound kind", kind, BoundKind)
+                                                for kind in kinds))
         if len(set(self.qubit_counts)) < len(self.qubit_counts):
             raise ValueError("qubit counts must not repeat")
         if not self.kinds:
             raise ValueError("no bounds selected")
-        if not all(isinstance(kind, BoundKind) for kind in self.kinds):
-            raise ValueError(f"bound kinds must be BoundKind values, got {self.kinds!r}")
         if len(set(self.kinds)) < len(self.kinds):
             raise ValueError("bound kinds must not repeat")
         object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
@@ -156,6 +156,7 @@ def _profiles(seed: int, n: int, part: PartitionSpec, start: int, stop: int) -> 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Deterministic Monte Carlo verification; a pure function of config."""
+    _instance("config", config, CampaignConfig)
     rows = []
     for n in config.qubit_counts:
         fitting = [k for k in config.kinds if k.fits(n)]

@@ -49,15 +49,25 @@ def _whole(name: str, value, lo: int | None = None, hi: int | None = None) -> in
 
 
 def _wholes(name: str, values, lo: int | None = None, hi: int | None = None) -> tuple:
-    """values as a tuple of ints, each by _whole; the integer rule's sequence form.
+    """values, a sequence by _sequence, as a tuple of ints, each by _whole."""
+    return tuple(_whole(name, v, lo, hi) for v in _sequence(name, values, "integers"))
 
-    values must be a list, tuple, range or 1-D array; anything else, such as
-    a scalar or a string, is a ValueError naming the argument.
-    """
+
+def _instance(name: str, value, *types):
+    """value, if an instance of one of types; the one type rule. A foreign type shows its module."""
+    if not isinstance(value, types):
+        what = " or ".join(t.__name__ if t.__module__.partition(".")[0] in ("builtins", "entmono")
+                           else f"{t.__module__}.{t.__name__}" for t in types)
+        raise ValueError(f"{name} must be a {what}, got {value!r}")
+    return value
+
+
+def _sequence(name: str, values, items: str):
+    """values, if a list, tuple, range or 1-D array (a set has no order); the one sequence rule."""
     if not (isinstance(values, (list, tuple, range))
             or isinstance(values, np.ndarray) and values.ndim == 1):
-        raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
-    return tuple(_whole(name, v, lo, hi) for v in values)
+        raise ValueError(f"{name} must be a sequence of {items}, got {values!r}")
+    return values
 
 
 def _finite(name: str, value, dtype: type = float) -> np.ndarray:

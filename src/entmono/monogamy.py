@@ -60,8 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (MAX_QUBITS, _finite, _real, _reduce, _whole, _wholes, as_state_vector,
-                     num_qubits_of)
+from .linalg import (MAX_QUBITS, _finite, _instance, _real, _reduce, _sequence, _whole, _wholes,
+                     as_state_vector, num_qubits_of)
 from .measures import _entropy, _purity_concurrence, _wootters, eof_from_squared_concurrence
 
 _COMPARISON_ATOL = 1e-12
@@ -181,10 +181,12 @@ def campaign_kinds(bounds, grid, m: int | None, qubit_counts) -> tuple:
     _FAMILIES marks so, and quietly drops the kinds that get no power or
     fit none of qubit_counts.
     """
+    bounds = () if bounds is None else tuple(_sequence("bounds", bounds, "bound names"))
+    qubit_counts = _wholes("qubit count", qubit_counts)
     picked = ([BoundId(b) for b in bounds] if bounds
               else [b for b, family in _FAMILIES.items() if family.battery])
     _check_split_index(picked, m)
-    grid = None if grid is None else _finite("grid", grid)
+    grid = None if grid is None else _finite("grid", _sequence("grid", grid, "powers"))
     kinds = []
     for bound in picked:
         family = _FAMILIES[bound]
@@ -286,9 +288,8 @@ def profile(psi, partition: PartitionSpec | None = None) -> ProfileBlock:
     """
     vec = as_state_vector(psi)
     n = num_qubits_of(vec.shape[0])
-    part = partition if partition is not None else PartitionSpec.default(n)
-    if not isinstance(part, PartitionSpec):
-        raise ValueError(f"partition must be a PartitionSpec, got {part!r}")
+    part = (PartitionSpec.default(n) if partition is None
+            else _instance("partition", partition, PartitionSpec))
     part.validate(n)
     return profile_batch(vec[None], part)
 
@@ -334,8 +335,8 @@ def _known_tails(block: ProfileBlock) -> list:
 
 
 def _family_on(kind: BoundKind, block: ProfileBlock) -> _Family:
-    """The family of a kind, after checking that block has one row and the kind fits it."""
-    if len(block.c_pair) != 1:
+    """The family of a kind, after checking that block is a one-row ProfileBlock the kind fits."""
+    if len(_instance("block", block, ProfileBlock).c_pair) != 1:
         raise ValueError(f"expected a one-row profile block, got {len(block.c_pair)} rows")
     num_parties = block.c_pair.shape[1] + 1
     if not kind.fits(num_parties):
@@ -489,7 +490,7 @@ def _upper_sides(block: ProfileBlock, mean: bool, alphas) -> tuple:
 
 def evaluate(block: ProfileBlock, kind: BoundKind) -> BoundReport:
     """Evaluate one bound against a one-row profile block, reporting slack and verdict."""
-    family = _family_on(kind, block)
+    family = _family_on(_instance("kind", kind, BoundKind), block)
     v, = _evaluate(block, [(kind.id, kind.m, (kind.alpha,))])
     lhs, rhs, slack = float(v.lhs[0, 0]), float(v.rhs[0, 0]), float(v.slack[0, 0])
     applicable = _VERDICT[v.applicable[0, 0]]
@@ -564,7 +565,7 @@ def residual_sweep(block: ProfileBlock, tightened, baseline, alphas,
     overflowing power makes a bound's applicability vary along the grid,
     and its residual NaN there.
     """
-    points = _finite("alphas", alphas)
+    points = _finite("alphas", _sequence("alphas", alphas, "powers"))
     if points.ndim != 1 or not points.size:
         raise ValueError("alphas must be a nonempty sequence of powers")
     _check_split_index((tightened, baseline), m)

@@ -12,7 +12,8 @@ import os
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _finite, as_density_matrix, as_state_vector, num_qubits_of
+from .linalg import (MAX_QUBITS, _finite, _instance, as_density_matrix, as_state_vector,
+                     num_qubits_of)
 
 STATE_FORMAT_VERSION = "1"
 
@@ -24,16 +25,12 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _path(path) -> str | os.PathLike:
-    """path, if it is a str or os.PathLike; open() takes an int as a descriptor and closes it."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"state file path must be a str or os.PathLike, got {path!r}")
-    return path
-
-
 def load_state_file(path: str) -> np.ndarray:
-    """A state file's checked complex128 unit vector (amplitudes) or (2**n, 2**n) density."""
-    with open(_path(path), encoding="utf-8") as fh:
+    """A state file's checked complex128 unit vector (amplitudes) or (2**n, 2**n) density.
+
+    path is a str or os.PathLike by the type rule: open() would close an int descriptor.
+    """
+    with open(_instance("state file path", path, str, os.PathLike), encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or nesting too deep
@@ -59,7 +56,7 @@ def load_state_file(path: str) -> np.ndarray:
 
 
 def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
-    """Write a JSON state file holding exactly one representation."""
+    """Write a JSON state file holding exactly one representation; path as load_state_file's."""
     if (amplitudes is None) == (density_matrix is None):
         raise ValueError("exactly one of amplitudes or density_matrix is required")
     if amplitudes is not None:
@@ -71,7 +68,7 @@ def save_state_file(path: str, amplitudes=None, density_matrix=None) -> None:
         "num_qubits": num_qubits_of(state.shape[0]),
         key: [[float(z.real), float(z.imag)] for z in state.reshape(-1)],
     }
-    with open(_path(path), "w", encoding="utf-8") as fh:
+    with open(_instance("state file path", path, str, os.PathLike), "w", encoding="utf-8") as fh:
         fh.write(_strict_json(payload))
 
 

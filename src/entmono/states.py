@@ -4,7 +4,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _NORM_ATOL, _finite, _real, _whole, _wholes, reduced_state
+from .linalg import (MAX_QUBITS, _NORM_ATOL, _finite, _instance, _real, _whole, _wholes,
+                     reduced_state)
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,8 @@ def generalized_schmidt(lambdas, phi: float = 0.0) -> np.ndarray:
 def haar_random_pure(num_qubits: int, sampler: SeededSampler) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
     dim = 2 ** _whole("qubit count", num_qubits, 2, MAX_QUBITS)
-    if not isinstance(sampler, SeededSampler):
-        raise ValueError(f"sampler must be a SeededSampler, got {sampler!r}")
-    return _haar_into(sampler.rng(), np.empty(dim, dtype=complex), np.empty((2, dim)))
+    rng = _instance("sampler", sampler, SeededSampler).rng()
+    return _haar_into(rng, np.empty(dim, dtype=complex), np.empty((2, dim)))
 
 
 def _haar_into(rng: np.random.Generator, out: np.ndarray, normals: np.ndarray) -> np.ndarray:

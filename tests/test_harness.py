@@ -160,10 +160,36 @@ def test_campaign_config_validation():
         ((5, (3,), (kind,), 0), True, "tolerance must be a real number, got True"),
         ((5, (3,), (kind,), 0), "1e-10", "tolerance must be a real number, got '1e-10'"),
         ((5, (3,), (kind,), 0), None, "tolerance must be a real number, got None"),
-        ((5, (3,), ("ckw",), 0), 1e-10, "bound kinds must be BoundKind values, got ('ckw',)"),
+        ((5, (3,), ("ckw",), 0), 1e-10, "bound kind must be a BoundKind, got 'ckw'"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CampaignConfig(*args, tolerance=tolerance)
+
+
+def test_equal_configs_report_alike_under_any_hash_seed():
+    script = "\n".join([
+        "from entmono.engine import CampaignConfig, run_campaign",
+        "from entmono.monogamy import campaign_kinds",
+        "bounds = ['ckw', 'alpha-power', 'tight-ordered', 'upper-mean']",
+        "kinds = list(campaign_kinds(bounds, None, None, [3, 4]))",
+        "print(run_campaign(CampaignConfig(30, [3, 4], kinds, 0)).to_json(), end='')",
+    ])
+    reports = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(entmono.__file__).resolve().parents[1]),
+               "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["rows"]) == 20
+    # a set has no fixed order, so it is refused where its order would reach a report
+    kinds = monogamy.campaign_kinds(["ckw", "alpha-power", "tight-ordered"], None, None, (3,))
+    with pytest.raises(ValueError, match=r"^bound kinds must be a sequence of BoundKind values"):
+        CampaignConfig(3, (3,), set(kinds), 0)
+    with pytest.raises(ValueError, match=r"^bounds must be a sequence of bound names"):
+        monogamy.campaign_kinds({"ckw", "alpha-power"}, None, None, (3,))
 
 
 def test_campaign_state_rejects_a_negative_seed():

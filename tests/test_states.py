@@ -5,14 +5,17 @@ import re
 import numpy as np
 import pytest
 
+import entmono
+from entmono import linalg, monogamy
 from entmono.engine import CampaignConfig, campaign_state, run_campaign
 from entmono.linalg import (_as_hermitian, as_density_matrix, as_state_vector, num_qubits_of,
                             partial_trace, reduced_state)
 from entmono.measures import (concurrence_pure, convex_roof_upper_bound,
                               eof_from_squared_concurrence, eof_pure, eof_two_qubit_mixed,
                               wootters_concurrence)
-from entmono.monogamy import (BoundKind, PartitionSpec, alpha_grid, campaign_kinds, profile,
-                              residual_sweep)
+from entmono.monogamy import (BoundId, BoundKind, PartitionSpec, alpha_grid, campaign_kinds,
+                              evaluate, profile, residual_sweep)
+from entmono.statefile import load_state_file, save_state_file
 from entmono.states import (
     SeededSampler,
     basis_state,
@@ -203,6 +206,109 @@ def _real_rule_message(name: str, v) -> str:
 def test_reals_are_finite_numbers(name, call, v):
     with pytest.raises(ValueError, match=_real_rule_message(name, v)):
         call(v)
+
+
+# a valid call of every public callable that takes input, as (callable, arguments);
+# the state files are relative to the working directory test_public_arguments_are_checked sets
+_VALID_CALLS = {
+    "BoundId": (BoundId, ("ckw",)),
+    "BoundKind": (BoundKind, ("tight-split", 2.0, 1)),
+    "CampaignConfig": (CampaignConfig, (2, (3,), (_CKW,), 0, 1e-10)),
+    "PartitionSpec": (PartitionSpec, (0, (1, 2))),
+    "SeededSampler": (SeededSampler, (0, (1,))),
+    "alpha_grid": (alpha_grid, (2.0, 3.0, 0.5)),
+    "as_density_matrix": (as_density_matrix, (np.eye(4) / 4,)),
+    "as_state_vector": (as_state_vector, (w_state(3),)),
+    "basis_state": (basis_state, (3, 1)),
+    "campaign_kinds": (campaign_kinds, (["ckw", "tight-split"], (2.0, 3.0), 1, (3, 4))),
+    "campaign_state": (campaign_state, (0, 3, 0)),
+    "concurrence_pure": (concurrence_pure, (w_state(3), (0,))),
+    "convex_roof_upper_bound": (convex_roof_upper_bound, (_MIXED, "concurrence", 2, 0)),
+    "eof_from_squared_concurrence": (eof_from_squared_concurrence, (0.5,)),
+    "eof_pure": (eof_pure, (w_state(3), (0,))),
+    "eof_two_qubit_mixed": (eof_two_qubit_mixed, (_MIXED,)),
+    "evaluate": (evaluate, (profile(w_state(3)), _CKW)),
+    "generalized_schmidt": (generalized_schmidt, (_FLAT, 0.0)),
+    "ghz_state": (ghz_state, (3,)),
+    "haar_random_pure": (haar_random_pure, (3, SeededSampler(0))),
+    "load_state_file": (load_state_file, ("w3.json",)),
+    "num_qubits_of": (num_qubits_of, (8,)),
+    "partial_trace": (partial_trace, (np.eye(8) / 8, (0,))),
+    "profile": (profile, (w_state(3), PartitionSpec(0, (1, 2)))),
+    "random_mixed": (random_mixed, (2, 1, SeededSampler(0))),
+    "reduced_state": (reduced_state, (w_state(3), (0,))),
+    "residual_sweep": (residual_sweep, (profile(w_state(4)), "tight-split", "alpha-power",
+                                        (2.0, 3.0), 1)),
+    "run_campaign": (run_campaign, (CampaignConfig(2, (3,), (_CKW,), 0),)),
+    "save_state_file": (save_state_file, ("out.json", w_state(3), None)),
+    "w_state": (w_state, (3,)),
+    "wootters_concurrence": (wootters_concurrence, (_MIXED,)),
+}
+# the public records a function returns; they take no input of their own
+_RESULTS = {"AlphaSweep", "BoundReport", "CampaignResult"}
+_WRONG = {"object": object(), "set": {1, 2}, "str": "x"}
+
+
+def test_every_public_callable_has_a_valid_call():
+    public = {name for name in entmono.__all__ if callable(getattr(entmono, name))}
+    assert public - _RESULTS == set(_VALID_CALLS) - {"campaign_kinds"}
+
+
+@pytest.mark.parametrize("name, position, wrong", [
+    (name, position, wrong) for name, (_, args) in _VALID_CALLS.items()
+    for position in range(len(args)) for wrong in _WRONG])
+def test_public_arguments_are_checked(name, position, wrong, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_state_file("w3.json", amplitudes=w_state(3))
+    (tmp_path / "x").mkdir()  # so a path "x" fails in open() whether it reads or writes
+    call, args = _VALID_CALLS[name]
+    call(*args)
+    args = args[:position] + (_WRONG[wrong],) + args[position + 1:]
+    path = name in ("load_state_file", "save_state_file") and position == 0 and wrong == "str"
+    with pytest.raises(OSError if path else ValueError):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evaluate(profile(w_state(3)), "ckw"), "kind must be a BoundKind, got 'ckw'"),
+    (lambda: evaluate((1, 2), _CKW), "block must be a ProfileBlock, got (1, 2)"),
+    (lambda: residual_sweep((1, 2), "ckw", "alpha-power", [2.0]),
+     "block must be a ProfileBlock, got (1, 2)"),
+    (lambda: run_campaign("config"), "config must be a CampaignConfig, got 'config'"),
+    (lambda: CampaignConfig(5, (3,), _CKW, 0),
+     f"bound kinds must be a sequence of BoundKind values, got {_CKW!r}"),
+    (lambda: CampaignConfig(5, (3,), {_CKW}, 0),
+     f"bound kinds must be a sequence of BoundKind values, got { {_CKW}!r}"),
+    (lambda: campaign_kinds("ckw", None, None, (3,)),
+     "bounds must be a sequence of bound names, got 'ckw'"),
+    (lambda: campaign_kinds({"ckw"}, None, None, (3,)),
+     "bounds must be a sequence of bound names, got {'ckw'}"),
+    (lambda: campaign_kinds(None, None, None, 3),
+     "qubit count must be a sequence of integers, got 3"),
+    (lambda: campaign_kinds(None, None, None, {3}),
+     "qubit count must be a sequence of integers, got {3}"),
+    # the sequence rule comes before the number rule, so a set is not called a number
+    (lambda: campaign_kinds(None, {2.0, 3.0}, None, (3,)),
+     "grid must be a sequence of powers, got {2.0, 3.0}"),
+    (lambda: residual_sweep(profile(w_state(3)), "tight-ordered", "alpha-power", {2.0, 3.0}),
+     "alphas must be a sequence of powers, got {2.0, 3.0}"),
+    (lambda: residual_sweep(profile(w_state(3)), "ckw", "alpha-power", (a for a in [2.0])),
+     "alphas must be a sequence of powers, got <generator object"),
+])
+def test_types_and_sequences_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_grids_pass_the_sequence_rule_uncopied(monkeypatch):
+    prof, points, grid = profile(w_state(3)), np.array([2.0, 2.5, 3.0]), alpha_grid(2.0, 3.0, 0.5)
+    checked = []
+    monkeypatch.setattr(monogamy, "_finite",
+                        lambda name, v: checked.append(v) or linalg._finite(name, v))
+    assert (residual_sweep(prof, "tight-ordered", "alpha-power", points)
+            == residual_sweep(prof, "tight-ordered", "alpha-power", grid))
+    # the sequence rule hands the number rule the grid itself, not a copy
+    assert [id(v) for v in checked] == [id(points), id(grid)]
 
 
 def test_integral_values_of_other_types_are_the_same_index():

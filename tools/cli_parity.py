@@ -3,7 +3,10 @@
 Usage: python3 tools/cli_parity.py PARENT_SRC CHANGE_SRC
 
 Each command runs once as ``python -m entmono ...`` in a subprocess under
-PYTHONPATH=PARENT_SRC and once under PYTHONPATH=CHANGE_SRC. The exit code,
+PYTHONPATH=PARENT_SRC and PYTHONHASHSEED=1 and once under
+PYTHONPATH=CHANGE_SRC and PYTHONHASHSEED=2, so an output that depends on
+the order of a set or on a string hash differs on every run, even with one
+tree on both sides; the two hash seeds are printed first. The exit code,
 stdout and stderr of the two runs are compared, with the elapsed seconds
 that ``verify`` prints on stderr masked. Every command that differs is
 printed, and the exit status is 1 if any does, else 0. Under each one, a
@@ -53,6 +56,7 @@ SWEEPS = (
     ("eof-tight-ordered", "eof-alpha-power", "1.5", "4", "0.02"),
     ("tight-split", "eof-tight-split", "2", "4", "0.1"),
 )
+HASH_SEEDS = ("1", "2")  # parent, change
 ELAPSED = re.compile(r"evaluations in \d+\.\d+s")
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b)", re.I)
 
@@ -200,8 +204,8 @@ def _moved(before: str, after: str) -> str:
     return text
 
 
-def _run(src: str, argv: list) -> tuple:
-    env = dict(os.environ, PYTHONPATH=src)
+def _run(src: str, hash_seed: str, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
     done = subprocess.run([sys.executable, "-m", "entmono", *argv], env=env,
                           capture_output=True, text=True, check=False)
     return done.returncode, done.stdout, ELAPSED.sub("evaluations in <t>s", done.stderr)
@@ -213,6 +217,7 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent, change = (str(Path(a).resolve()) for a in args)
+    print(f"PYTHONHASHSEED {HASH_SEEDS[0]} for {parent}, {HASH_SEEDS[1]} for {change}")
     differing = 0
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as folder:
         folder_path = Path(folder)
@@ -221,7 +226,8 @@ def main(argv=None) -> int:
         commands = _commands(_state_files(folder_path), _density_files(folder_path),
                              _malformed_files(folder_path), out_dir)
         for command in commands:
-            before, after = _run(parent, command), _run(change, command)
+            before = _run(parent, HASH_SEEDS[0], command)
+            after = _run(change, HASH_SEEDS[1], command)
             if before != after:
                 differing += 1
                 fields = [name for name, b, a in zip(("exit code", "stdout", "stderr"),
